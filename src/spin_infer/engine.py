@@ -4,11 +4,14 @@ Architecture: pre-norm residual blocks, RMSNorm, rotary position embedding
 on q/k, GELU (tanh approximation) FFN, no biases. Everything runs in
 float32 so runs are reproducible bit-for-bit.
 
-The attention layer accepts an optional *mask policy*: a callable invoked
-once per layer per forward with the post-rotation query vectors, the
-layer's cached keys, and the query positions. It returns one multiplier
-per head and query row (or None for all-ones); the multipliers scale each
-head's attention output before the final output projection.
+`prefill` (a whole prompt) and `step` (one token) share one forward over
+T input rows. The attention layer accepts an optional *mask policy*: a
+callable invoked once per layer per forward with the post-rotation query
+vectors, the stream's cache, the query positions and the prompt layout. It
+returns one multiplier per head and query row (or None for all-ones); the
+multipliers scale each head's attention output before the output
+projection. Only `step` takes an attention *observer*, so it fires on
+decode steps only.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class MultimodalPrompt:
         vision = np.asarray(vision, dtype=np.float32)
         if vision.ndim != 2 or vision.shape[0] < 1:
             raise DataError(f"vision span must be a non-empty 2-D array, got shape {vision.shape}")
+        if not np.isfinite(vision).all():
+            raise DataError("vision embeddings must be finite (found NaN or inf)")
         self.prefix_ids = [int(t) for t in prefix_ids]
         self.vision = vision
         self.suffix_ids = [int(t) for t in suffix_ids]
@@ -110,14 +115,6 @@ class KvCache:
     @property
     def layer_lengths(self) -> tuple[int, ...]:
         return tuple(int(x) for x in self._len)
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        t = self._len[layer]
-        if t >= self.max_len:
-            raise ContextOverflowError(f"kv cache full at {self.max_len} rows")
-        self.k[layer, :, t] = k
-        self.v[layer, :, t] = v
-        self._len[layer] += 1
 
     def extend(self, layer: int, ks: np.ndarray, vs: np.ndarray) -> None:
         """Append a batch of rows; ks/vs are (T, H, d_head)."""
@@ -216,58 +213,6 @@ class Engine:
         rows.extend(self._embed_id(t) for t in prompt.suffix_ids)
         return np.stack(rows).astype(np.float32)
 
-    def attention_step(
-        self,
-        query_state: np.ndarray,
-        cache: KvCache,
-        layer: int,
-        position: int,
-        mask: np.ndarray | None = None,
-        observer: AttnObserver | None = None,
-    ) -> np.ndarray:
-        """One query token's masked multi-head attention over all cached rows.
-
-        `query_state` is the pre-norm block input already normalized for
-        attention; the query's own k/v row must have been appended first.
-        With mask None (or all ones) this is plain MHA.
-        """
-        c = self.config
-        if query_state.shape != (c.d_model,):
-            raise ConfigError(
-                f"query state shape {query_state.shape} does not match d_model {c.d_model}"
-            )
-        q = (query_state @ self.checkpoint.layer(layer, "wq")).reshape(c.n_heads, c.d_head)
-        q = self._rope(q[None, :, :], np.array([position]))[0]
-        return self._attend_one(q, cache, layer, position, mask, observer)
-
-    def _attend_one(
-        self,
-        q: np.ndarray,
-        cache: KvCache,
-        layer: int,
-        position: int,
-        mask: np.ndarray | None,
-        observer: AttnObserver | None,
-    ) -> np.ndarray:
-        K = cache.keys(layer)  # (H, S, dk)
-        V = cache.values(layer)
-        logits = np.matmul(K, q[:, :, None])[:, :, 0] * self._inv_sqrt_dk  # (H, S)
-        w = _softmax(logits)
-        if observer is not None:
-            observer(layer, w, position)
-        ctx = np.matmul(w[:, None, :], V)[:, 0, :]  # (H, dk)
-        if mask is not None:
-            ctx *= mask[:, None]
-        return ctx.reshape(self.config.d_model) @ self.checkpoint.layer(layer, "wo")
-
-    def _project_kv(self, h: np.ndarray, layer: int, positions: np.ndarray):
-        c = self.config
-        ck = self.checkpoint
-        T = h.shape[0]
-        k = (h @ ck.layer(layer, "wk")).reshape(T, c.n_heads, c.d_head)
-        v = (h @ ck.layer(layer, "wv")).reshape(T, c.n_heads, c.d_head)
-        return self._rope(k, positions), v
-
     def step(
         self,
         token: int | np.ndarray,
@@ -287,23 +232,7 @@ class Engine:
         x = self._embed_id(token) if isinstance(token, (int, np.integer)) else np.asarray(token, np.float32)
         if x.shape != (c.d_model,):
             raise ConfigError(f"token state shape {x.shape} does not match d_model {c.d_model}")
-        positions = np.array([pos])
-        ck = self.checkpoint
-        for layer in range(c.n_layers):
-            h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-            q = (h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head)
-            q = self._rope(q, positions)
-            k, v = self._project_kv(h[None, :], layer, positions)
-            cache.append(layer, k[0], v[0])
-            mask = None
-            if policy is not None:
-                masks = policy(layer, q, cache, positions, layout)
-                if masks is not None:
-                    mask = masks[0]
-            x = x + self._attend_one(q[0], cache, layer, pos, mask, observer)
-            hf = rmsnorm(x, ck.layer(layer, "ffn_norm"))
-            x = x + gelu(hf @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
-        return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+        return self._forward(x[None, :], cache, np.array([pos]), layout, policy, observer)[0]
 
     def prefill(
         self,
@@ -323,23 +252,38 @@ class Engine:
         base = cache.length
         if base + T > c.max_seq_len:
             raise ContextOverflowError(f"prompt length {base + T} exceeds max_seq_len {c.max_seq_len}")
-        positions = base + np.arange(T)
-        layout = prompt.layout()
+        out = self._forward(x, cache, base + np.arange(T), prompt.layout(), policy, None)
+        return out if return_all_logits else out[-1]
+
+    def _forward(
+        self,
+        x: np.ndarray,
+        cache: KvCache,
+        positions: np.ndarray,
+        layout: PromptLayout,
+        policy: MaskPolicy | None,
+        observer: AttnObserver | None,
+    ) -> np.ndarray:
+        """Run input rows x (T, d_model) at `positions` through every block,
+        appending their k/v rows to `cache`; returns logits (T, vocab)."""
+        c = self.config
         ck = self.checkpoint
+        T = x.shape[0]
+        future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
         for layer in range(c.n_layers):
             h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-            q = (h @ ck.layer(layer, "wq")).reshape(T, c.n_heads, c.d_head)
-            q = self._rope(q, positions)
-            k, v = self._project_kv(h, layer, positions)
+            q = self._rope((h @ ck.layer(layer, "wq")).reshape(T, c.n_heads, c.d_head), positions)
+            k = self._rope((h @ ck.layer(layer, "wk")).reshape(T, c.n_heads, c.d_head), positions)
+            v = (h @ ck.layer(layer, "wv")).reshape(T, c.n_heads, c.d_head)
             cache.extend(layer, k, v)
             K = cache.keys(layer)  # (H, S, dk)
-            V = cache.values(layer)
-            S = K.shape[1]
             logits = np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * self._inv_sqrt_dk
-            future = np.arange(S)[None, :] > positions[:, None]  # (T, S)
-            logits[:, future] = -np.inf
-            w = _softmax(logits)
-            ctx = np.matmul(w, V).transpose(1, 0, 2)  # (T, H, dk)
+            if future is not None:
+                logits[:, future] = -np.inf
+            w = _softmax(logits)  # (H, T, S)
+            if observer is not None:
+                observer(layer, w[:, 0], int(positions[0]))
+            ctx = np.matmul(w, cache.values(layer)).transpose(1, 0, 2)  # (T, H, dk)
             if policy is not None:
                 masks = policy(layer, q, cache, positions, layout)
                 if masks is not None:
@@ -347,5 +291,4 @@ class Engine:
             x = x + ctx.reshape(T, c.d_model) @ ck.layer(layer, "wo")
             hf = rmsnorm(x, ck.layer(layer, "ffn_norm"))
             x = x + gelu(hf @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
-        out = rmsnorm(x, ck["final_norm"]) @ ck["output"]
-        return out if return_all_logits else out[-1]
+        return rmsnorm(x, ck["final_norm"]) @ ck["output"]

@@ -146,12 +146,13 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
                 f"record {rec.record_id}: vision dim {rec.vision.shape[1]} != d_model {mc.d_model}"
             )
 
+    # the policy validates the layer range before the trace file is created
+    policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads) if cfg.spin else None
     trace = None
-    if write_outputs and cfg.output.trace_masks and cfg.spin is not None:
-        trace = MaskTraceWriter(
+    if write_outputs and cfg.output.trace_masks and policy is not None:
+        trace = policy.trace = MaskTraceWriter(
             open(cfg.output.trace_masks, "w", encoding="utf-8"), mc.n_layers, mc.n_heads, cfg.spin
         )
-    policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads, trace) if cfg.spin else None
 
     t_start = time.perf_counter()
     outcomes: dict[str, RecordOutcome] = {}

@@ -1,7 +1,7 @@
 """Attention-guided head suppression.
 
 For every text query token we rank the heads of a layer by how much
-attention they pay to the vision span (pre-softmax logit mass by default),
+attention they pay to the vision span (pre-softmax logit mass),
 keep the top K = H - round(r*H) heads intact, and scale every other head's
 attention output by the suppression factor alpha. Masks are recomputed
 fresh for every query position, so the suppressed subset is dynamic.
@@ -17,8 +17,8 @@ from typing import IO
 
 import numpy as np
 
-from .engine import PromptLayout, _softmax
-from .errors import ConfigError, SpanError
+from .engine import KvCache, PromptLayout
+from .errors import ConfigError
 
 STRATEGIES = ("image_attention", "total_attention", "query_norm", "key_norm")
 APPLY_MODES = ("all_text_queries", "generated_text_queries_only")
@@ -38,7 +38,6 @@ class SpinConfig:
     layer_lo: int = 1  # inclusive, 1-indexed
     layer_hi: int = 1
     apply_to: str = "all_text_queries"
-    post_softmax: bool = False  # experimental: rank by post-softmax vision mass
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -61,14 +60,13 @@ class SpinConfig:
             "alpha": self.alpha,
             "layer_range": [self.layer_lo, self.layer_hi],
             "apply_to": self.apply_to,
-            "post_softmax": self.post_softmax,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpinConfig":
         d = dict(d)
         lo, hi = d.pop("layer_range", (1, 1))
-        known = {"strategy", "r", "alpha", "apply_to", "post_softmax"}
+        known = {"strategy", "r", "alpha", "apply_to"}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"spin config has unknown keys: {sorted(extra)}")
@@ -81,56 +79,31 @@ def kept_count(r: float, n_heads: int) -> int:
     return min(n_heads, max(1, n_heads - suppressed))
 
 
-def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest scores; ties keep the lower head index."""
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    return np.sort(order[:k])
-
-
-def score_heads_image_attention(
-    q: np.ndarray, keys: np.ndarray, i_start: int, i_end: int
-) -> np.ndarray:
-    """Per-head cumulated query-to-vision-key logit mass.
-
-    q is (H, d_head) for one query token, keys is (H, S, d_head) covering
-    the cached context; the score of head i is sum_j q_i . k_ij over the
-    vision span only, with no softmax and no 1/sqrt(d_k) scaling.
-    """
-    if keys.shape[1] < i_end:
-        raise SpanError(f"vision span end {i_end} outside cached context of {keys.shape[1]} rows")
-    if not 0 <= i_start < i_end:
-        raise SpanError(f"bad vision span [{i_start}, {i_end})")
-    kv = keys[:, i_start:i_end]  # (H, Nv, dk)
-    return np.einsum("hd,hsd->h", q, kv.astype(np.float32))
-
-
-def score_heads_alternative(strategy: str, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Norm- and total-attention alternatives to image-attention ranking."""
-    if strategy == "query_norm":
-        return np.sqrt(np.sum(np.square(q), axis=-1))
-    if strategy == "key_norm":
-        norms = np.sqrt(np.sum(np.square(keys), axis=-1))  # (H, S)
-        return norms.mean(axis=1)
-    if strategy == "total_attention":
-        return np.einsum("hd,hsd->h", q, keys)
-    raise ConfigError(f"unknown head scoring strategy {strategy!r}")
-
-
 def build_mask(scores: np.ndarray, config: SpinConfig, layer: int) -> np.ndarray:
-    """Per-head multipliers for one layer and one query position.
+    """Per-head multipliers for one layer from scores (..., H), one mask
+    row per score row.
 
     `layer` is 1-indexed. Outside the configured layer range the mask is
-    all ones; inside it the K highest-scoring heads get exactly 1 and the
-    rest exactly alpha.
+    all ones; inside it the K highest-scoring heads of each row get exactly
+    1 and the rest exactly alpha.
     """
-    n_heads = len(scores)
+    scores = np.asarray(scores)
     if not config.layer_lo <= layer <= config.layer_hi:
-        return np.ones(n_heads, dtype=np.float32)
-    k = kept_count(config.r, n_heads)
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    mask = np.full(n_heads, config.alpha, dtype=np.float32)
-    mask[order[:k]] = 1.0
-    return mask
+        return np.ones(scores.shape, dtype=np.float32)
+    return _rank_levels(config, scores.shape[-1])[_head_ranks(scores)]
+
+
+def _rank_levels(config: SpinConfig, n_heads: int) -> np.ndarray:
+    """Multiplier by head rank: 1 for the K best ranks, alpha for the rest."""
+    kept = np.arange(n_heads) < kept_count(config.r, n_heads)
+    return np.where(kept, np.float32(1.0), np.float32(config.alpha))
+
+
+def _head_ranks(scores: np.ndarray) -> np.ndarray:
+    """Rank of each head within its score row (..., H): its place in a
+    stable descending sort, i.e. #(s_j > s_i) + #(s_j == s_i, j < i), so
+    ties go to the lower head index."""
+    return np.argsort(np.argsort(-scores, axis=-1, kind="stable"), axis=-1)
 
 
 class MaskTraceWriter:
@@ -176,28 +149,22 @@ class SpinPolicy:
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.trace = trace
-        self._kept = kept_count(config.r, n_heads)
-        self._alpha = float(np.float32(config.alpha))
+        self._levels = _rank_levels(config, n_heads)
 
     def _scores(
-        self, q: np.ndarray, keys: np.ndarray, positions: np.ndarray, layout: PromptLayout
+        self, q: np.ndarray, cache: KvCache, layer_index: int, positions: np.ndarray, layout: PromptLayout
     ) -> np.ndarray:
-        """Vectorized scores (T, H) for a batch of query rows; each row only
-        sees keys at its own position or earlier."""
+        """Scores (T, H) for query rows q (T, H, dk) at `positions`; each row
+        only sees keys at its own position or earlier."""
         cfg = self.config
-        T, H, dk = q.shape
-        S = keys.shape[1]
-        qh = q.transpose(1, 0, 2)  # (H, T, dk)
         if cfg.strategy == "image_attention":
-            if cfg.post_softmax:
-                logits = np.matmul(qh, keys.transpose(0, 2, 1)) * np.float32(1.0 / math.sqrt(dk))
-                logits[:, np.arange(S)[None, :] > positions[:, None]] = -np.inf
-                w = _softmax(logits)
-                return w[:, :, layout.i_start : layout.i_end].sum(axis=2).T
-            kv = keys[:, layout.i_start : layout.i_end]
-            return np.matmul(qh, kv.transpose(0, 2, 1)).sum(axis=2).T
+            # the span's keys are frozen once cached, so score against their
+            # memoized sum: sum_j q.k_j == q.(sum_j k_j)
+            return _row_dots(q, cache.key_span_sum(layer_index, layout.i_start, layout.i_end))
+        keys = cache.keys(layer_index)  # (H, S, dk)
+        S = keys.shape[1]
         if cfg.strategy == "total_attention":
-            logits = np.matmul(qh, keys.transpose(0, 2, 1))  # (H, T, S)
+            logits = np.matmul(q.transpose(1, 0, 2), keys.transpose(0, 2, 1))  # (H, T, S)
             allowed = np.arange(S)[None, :] <= positions[:, None]
             return np.where(allowed[None], logits, np.float32(0.0)).sum(axis=2).T
         if cfg.strategy == "query_norm":
@@ -216,7 +183,7 @@ class SpinPolicy:
         self,
         layer_index: int,
         q: np.ndarray,
-        cache,
+        cache: KvCache,
         positions: np.ndarray,
         layout: PromptLayout,
     ) -> np.ndarray | None:
@@ -224,35 +191,16 @@ class SpinPolicy:
         cfg = self.config
         if not cfg.layer_lo <= layer <= cfg.layer_hi:
             return None
-        if q.shape[0] == 1:  # decode hot path: one query row, all keys visible
-            pos = int(positions[0])
-            if pos < self._floor(layout):
-                return None
-            if cfg.strategy == "image_attention" and not cfg.post_softmax:
-                # the span's keys are frozen once cached, so score against
-                # their memoized sum: sum_j q.k_j == q.(sum_j k_j)
-                ksum = cache.key_span_sum(layer_index, layout.i_start, layout.i_end)
-                scores = _row_dots(q[0], ksum).tolist()
-            else:
-                scores = self._scores(q, cache.keys(layer_index), positions, layout)[0].tolist()
-            # top-K with the (-score, index) tie rule, in plain python: for a
-            # handful of heads this dodges a pile of per-call numpy dispatch
-            order = sorted(range(self.n_heads), key=lambda i: (-scores[i], i))
-            row = [self._alpha] * self.n_heads
-            for i in order[: self._kept]:
-                row[i] = 1.0
-            mask = np.array(row, dtype=np.float32)
-            if self.trace is not None:
-                self.trace.write(pos, layer, mask)
-            return mask[None, :]
-        rows = positions >= self._floor(layout)
-        if not rows.any():
+        # positions are consecutive, so the maskable rows are a suffix
+        T = len(positions)
+        first = min(max(self._floor(layout) - int(positions[0]), 0), T)
+        if first == T:
             return None
-        masks = np.ones((len(positions), self.n_heads), dtype=np.float32)
-        idx = np.flatnonzero(rows)
-        scores = self._scores(q[idx], cache.keys(layer_index), positions[idx], layout)
-        for t, row in enumerate(idx):
-            masks[row] = build_mask(scores[t], self.config, layer)
-            if self.trace is not None:
+        scores = self._scores(q[first:], cache, layer_index, positions[first:], layout)
+        masks = self._levels[_head_ranks(scores)]
+        if first:
+            masks = np.concatenate([np.ones((first, self.n_heads), dtype=np.float32), masks])
+        if self.trace is not None:
+            for row in range(first, T):
                 self.trace.write(int(positions[row]), layer, masks[row])
         return masks

@@ -1,10 +1,13 @@
-"""Shared builders for tiny engines, rigged checkpoints, and stub engines."""
+"""Shared builders for tiny engines, rigged checkpoints and stub engines,
+plus the plain reference implementations that tests compare the engine and
+the SPIN policy against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax
+from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax, gelu, rmsnorm
+from spin_infer.errors import ConfigError, SpanError
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64
 
@@ -27,19 +30,60 @@ def random_prompt(seed: int, config: ModelConfig, n_prefix=2, n_vision=4, n_suff
     return MultimodalPrompt(prefix, vision.astype(np.float32), suffix)
 
 
-def reference_mha(engine: Engine, query_state, cache: KvCache, layer: int, position: int):
-    """Plain multi-head attention with no masking code path; mirrors the
-    engine's operation order so outputs must agree bit-for-bit."""
+def reference_step(engine: Engine, x, cache: KvCache, position: int):
+    """One decode step of plain multi-head attention with no masking code
+    path, written out for a single query row; mirrors the engine's
+    operation order so the logits must agree bit-for-bit."""
     c = engine.config
     ck = engine.checkpoint
-    q = (query_state @ ck.layer(layer, "wq")).reshape(c.n_heads, c.d_head)
-    q = engine._rope(q[None, :, :], np.array([position]))[0]
-    K = cache.keys(layer)
-    V = cache.values(layer)
-    logits = np.matmul(K, q[:, :, None])[:, :, 0] * engine._inv_sqrt_dk
-    w = _softmax(logits)
-    ctx = np.matmul(w[:, None, :], V)[:, 0, :]
-    return ctx.reshape(c.d_model) @ ck.layer(layer, "wo")
+    pos = np.array([position])
+    for layer in range(c.n_layers):
+        h = rmsnorm(x, ck.layer(layer, "attn_norm"))
+        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head), pos)
+        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(1, c.n_heads, c.d_head), pos)
+        v = (h @ ck.layer(layer, "wv")).reshape(1, c.n_heads, c.d_head)
+        cache.extend(layer, k, v)
+        K = cache.keys(layer)
+        w = _softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
+        ctx = np.matmul(w, cache.values(layer))  # (H, 1, dk)
+        x = x + ctx.reshape(c.d_model) @ ck.layer(layer, "wo")
+        x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
+    return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+
+
+def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores; ties keep the lower head index."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return np.sort(order[:k])
+
+
+def score_heads_image_attention(
+    q: np.ndarray, keys: np.ndarray, i_start: int, i_end: int
+) -> np.ndarray:
+    """Per-head cumulated query-to-vision-key logit mass.
+
+    q is (H, d_head) for one query token, keys is (H, S, d_head) covering
+    the cached context; the score of head i is sum_j q_i . k_ij over the
+    vision span only, with no softmax and no 1/sqrt(d_k) scaling.
+    """
+    if keys.shape[1] < i_end:
+        raise SpanError(f"vision span end {i_end} outside cached context of {keys.shape[1]} rows")
+    if not 0 <= i_start < i_end:
+        raise SpanError(f"bad vision span [{i_start}, {i_end})")
+    kv = keys[:, i_start:i_end]  # (H, Nv, dk)
+    return np.einsum("hd,hsd->h", q, kv.astype(np.float32))
+
+
+def score_heads_alternative(strategy: str, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Norm- and total-attention alternatives to image-attention ranking."""
+    if strategy == "query_norm":
+        return np.sqrt(np.sum(np.square(q), axis=-1))
+    if strategy == "key_norm":
+        norms = np.sqrt(np.sum(np.square(keys), axis=-1))  # (H, S)
+        return norms.mean(axis=1)
+    if strategy == "total_attention":
+        return np.einsum("hd,hsd->h", q, keys)
+    raise ConfigError(f"unknown head scoring strategy {strategy!r}")
 
 
 def uniform_attention_checkpoint(config: ModelConfig, seed: int = 0) -> Checkpoint:

@@ -24,7 +24,7 @@ from spin_infer.decoding import (
     decode_nucleus,
     _nucleus_pick,
 )
-from spin_infer.engine import Engine, MultimodalPrompt
+from spin_infer.engine import Engine, KvCache, MultimodalPrompt, PromptLayout
 from spin_infer.metrics import (
     CaptionRecord,
     ObjectVocabulary,
@@ -37,20 +37,16 @@ from spin_infer.metrics import (
 from spin_infer.model import ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64
 from spin_infer.runner import run_eval
-from spin_infer.spin import (
-    SpinConfig,
-    SpinPolicy,
-    kept_count,
-    score_heads_alternative,
-    score_heads_image_attention,
-    top_k_heads,
-)
+from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
 
 from helpers import (
     e1_vision,
     planted_checkpoint,
     random_prompt,
+    score_heads_alternative,
+    score_heads_image_attention,
     tiny_engine,
+    top_k_heads,
     uniform_attention_checkpoint,
 )
 
@@ -121,6 +117,8 @@ def test_criterion_02_mask_semantics():
                 oracle = sorted(range(h), key=lambda i: (-float(scores[i]), i))
                 kept1 = top_k_heads(scores, k1).tolist()
                 assert sorted(oracle[:k1]) == kept1  # tie-break: lower index wins
+                mask = build_mask(scores, SpinConfig(r=r1, alpha=0.0), layer=1)
+                assert np.flatnonzero(mask == 1.0).tolist() == kept1
 
                 kept2 = top_k_heads(scores, k2).tolist()
                 assert set(kept2) <= set(kept1)  # r2 >= r1 nests
@@ -173,6 +171,20 @@ def test_criterion_03_scoring_oracle():
                 for head in range(h)
             ]
             assert np.abs(got_kn - np.array(naive_kn)).max() < 1e-5, trial
+
+            # the policy's own scoring of the last query row over the cache
+            cache = KvCache(1, h, dk, n)
+            cache.extend(0, keys.transpose(1, 0, 2), np.zeros((n, h, dk), np.float32))
+            naive = {
+                "image_attention": naive_span(i_start, i_end),
+                "total_attention": naive_span(0, n),
+                "query_norm": naive_qn,
+                "key_norm": naive_kn,
+            }
+            for strategy, want in naive.items():
+                policy = SpinPolicy(SpinConfig(strategy=strategy), 1, h)
+                got = policy._scores(q[None], cache, 0, np.array([n - 1]), PromptLayout(i_start, i_end, n))
+                assert np.abs(got[0] - np.array(want)).max() < 1e-5, (trial, strategy)
 
 
 HAND_VOCAB = {

@@ -114,6 +114,18 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "absent.json"))
         assert code == 2
 
+    def test_layer_range_beyond_model_exit_2_without_trace(self, workspace, tmp_path, capsys):
+        trace_path = tmp_path / "masks.jsonl"
+        cfg = workspace.run_config(
+            tmp_path / "run.json",
+            spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, workspace.model_config.n_layers + 1]},
+            output={"trace_masks": str(trace_path)},
+        )
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert "exceeds n_layers" in err
+        assert not trace_path.exists()
+
     def test_corrupt_corpus_exit_3(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("garbage\n")

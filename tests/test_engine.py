@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spin_infer.engine import Engine, MultimodalPrompt, _softmax, rmsnorm
+from spin_infer.engine import Engine, MultimodalPrompt, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import init_checkpoint
 
-from helpers import random_prompt, reference_mha, tiny_config, tiny_engine
+from helpers import random_prompt, reference_step, tiny_config, tiny_engine
 
 
 @pytest.fixture
@@ -86,48 +86,70 @@ class TestCache:
             engine.prefill(p, engine.new_cache())
 
 
+def fixed_masks(value: float):
+    """Mask policy giving every head of every row the same multiplier."""
+
+    def policy(layer, q, cache, positions, layout):
+        return np.full((len(positions), q.shape[1]), value, np.float32)
+
+    return policy
+
+
 class TestAttentionStep:
     def test_identity_mask_bitwise_equal(self, engine, prompt):
-        cache, layout, _ = prefill_and_layout(engine, prompt)
-        pos = cache.length - 1
-        h = rmsnorm(engine.embed_prompt(prompt)[-1], engine.checkpoint.layer(0, "attn_norm"))
-        base = engine.attention_step(h, cache, 0, pos, mask=None)
-        ones = engine.attention_step(h, cache, 0, pos, mask=np.ones(engine.config.n_heads, np.float32))
-        assert np.array_equal(base, ones)
+        layout = prompt.layout()
+        runs = []
+        for policy in (None, fixed_masks(1.0)):
+            cache = engine.new_cache()
+            chain = [engine.prefill(prompt, cache, policy, return_all_logits=True)]
+            for tok in (3, 7):
+                chain.append(engine.step(tok, cache, layout, policy)[None, :])
+            runs.append(np.concatenate(chain))
+        assert np.array_equal(runs[0], runs[1])
 
     def test_zero_mask_annihilates(self, engine, prompt):
-        cache, layout, _ = prefill_and_layout(engine, prompt)
-        h = rmsnorm(engine.embed_prompt(prompt)[-1], engine.checkpoint.layer(0, "attn_norm"))
-        out = engine.attention_step(h, cache, 0, cache.length - 1,
-                                    mask=np.zeros(engine.config.n_heads, np.float32))
-        assert np.array_equal(out, np.zeros(engine.config.d_model, np.float32))
+        c = engine.config
+        no_wo = Engine(engine.checkpoint.mutated(
+            {f"layers.{i}.wo": np.zeros((c.d_model, c.d_model), np.float32) for i in range(c.n_layers)}
+        ))
+        layout = prompt.layout()
+        runs = []
+        for eng, policy in ((engine, fixed_masks(0.0)), (no_wo, None)):
+            cache = eng.new_cache()
+            chain = [eng.prefill(prompt, cache, policy, return_all_logits=True)]
+            for tok in (3, 7):
+                chain.append(eng.step(tok, cache, layout, policy)[None, :])
+            runs.append(np.concatenate(chain))
+        assert np.array_equal(runs[0], runs[1])
 
     def test_single_head_single_token_is_projected_value(self):
         engine = tiny_engine(n_heads=1, d_model=8, d_ffn=8, n_layers=1)
         c = engine.config
+        ck = engine.checkpoint
+        weights = []
         cache = engine.new_cache()
+        layout = MultimodalPrompt([], np.zeros((1, c.d_model), np.float32), []).layout()
         x = np.linspace(-1, 1, c.d_model).astype(np.float32)
-        h = rmsnorm(x, engine.checkpoint.layer(0, "attn_norm"))
-        k, v = engine._project_kv(h[None, :], 0, np.array([0]))
-        cache.append(0, k[0], v[0])
-        out = engine.attention_step(h, cache, 0, 0)
-        # softmax over one scalar is exactly 1, so the output is v @ wo
-        expect = v[0].reshape(c.d_model) @ engine.checkpoint.layer(0, "wo")
-        assert np.array_equal(out, expect)
+        logits = engine.step(x, cache, layout, observer=lambda layer, w, pos: weights.append(w))
+        # softmax over one scalar is exactly 1, so the attention output is v @ wo
+        assert weights[0].tolist() == [[1.0]]
+        v = cache.values(0)[0, 0]
+        h = x + v @ ck.layer(0, "wo")
+        h = h + gelu(rmsnorm(h, ck.layer(0, "ffn_norm")) @ ck.layer(0, "w1")) @ ck.layer(0, "w2")
+        assert np.array_equal(logits, rmsnorm(h, ck["final_norm"]) @ ck["output"])
 
     def test_matches_reference_mha_exactly(self, engine, prompt):
         cache, layout, _ = prefill_and_layout(engine, prompt)
-        pos = cache.length - 1
-        for layer in range(engine.config.n_layers):
-            h = rmsnorm(engine.embed_prompt(prompt)[-1], engine.checkpoint.layer(layer, "attn_norm"))
-            got = engine.attention_step(h, cache, layer, pos)
-            want = reference_mha(engine, h, cache, layer, pos)
+        ref_cache = cache.fork()
+        for tok in (4, 9, 2):
+            got = engine.step(tok, cache, layout)
+            want = reference_step(engine, engine.checkpoint["embedding"][tok], ref_cache, ref_cache.length)
             assert np.array_equal(got, want)
 
     def test_dimension_mismatch_is_config_error(self, engine, prompt):
-        cache, _, _ = prefill_and_layout(engine, prompt)
+        cache, layout, _ = prefill_and_layout(engine, prompt)
         with pytest.raises(ConfigError):
-            engine.attention_step(np.zeros(7, np.float32), cache, 0, cache.length - 1)
+            engine.step(np.zeros(7, np.float32), cache, layout)
 
 
 class TestSoftmaxAndCausality:

@@ -100,6 +100,28 @@ class TestRunEval:
         assert (hm.values[1] == 1.0).all()  # layer 2 out of range
         assert (hm.values[0] < 1.0).any()
 
+    def test_non_finite_vision_record_fails_and_is_not_scored(self, workspace, tmp_path):
+        lines = workspace.corpus.read_text().splitlines()
+        bad = json.loads(lines[2])
+        bad["vision_embeddings"][0][0] = float("nan")
+        nan_corpus = tmp_path / "nan.jsonl"
+        nan_corpus.write_text("\n".join(lines[:2] + [json.dumps(bad)] + lines[3:]) + "\n")
+        without = tmp_path / "without.jsonl"
+        without.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        reports = [
+            run_eval(load_run_config(
+                workspace.run_config(tmp_path / f"{name}.json", eval={"corpus": str(path)}), environ={}
+            ), write_outputs=False)
+            for name, path in (("nan", nan_corpus), ("without", without))
+        ]
+        got, want = (strip_timing(r)["metrics"] for r in reports)
+        assert list(reports[0]["failures"]) == [bad["id"]]
+        assert "DataError" in reports[0]["failures"][bad["id"]]
+        assert bad["id"] not in reports[0]["generations"]
+        assert got.pop("n_failed_records") == 1
+        want.pop("n_failed_records")
+        assert got == want  # CHAIR and POPE cover the five good records only
+
     def test_eval_section_required(self, workspace, tmp_path):
         cfg_path = workspace.run_config(tmp_path / "run.json", eval=None)
         cfg = load_run_config(cfg_path, environ={})

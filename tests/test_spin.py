@@ -4,21 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_infer.decoding import DecodeConfig, decode_greedy
-from spin_infer.engine import Engine
+from spin_infer.engine import Engine, KvCache, MultimodalPrompt
 from spin_infer.errors import ConfigError, SpanError
 from spin_infer.prng import SplitMix64
-from spin_infer.spin import (
-    SpinConfig,
-    SpinPolicy,
-    build_mask,
-    kept_count,
+from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
+
+from helpers import (
+    e1_vision,
+    planted_checkpoint,
+    random_prompt,
     score_heads_alternative,
     score_heads_image_attention,
+    tiny_engine,
     top_k_heads,
 )
-
-from helpers import e1_vision, planted_checkpoint, random_prompt, tiny_engine
-from spin_infer.engine import MultimodalPrompt
 
 
 def spin(r=0.5, alpha=0.0, lo=1, hi=2, **kw):
@@ -37,6 +36,10 @@ class TestSpinConfig:
     def test_roundtrip(self):
         cfg = spin(r=0.25, alpha=0.1, lo=2, hi=4, strategy="key_norm")
         assert SpinConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            SpinConfig.from_dict({"r": 0.5, "post_softmax": False})
 
 
 class TestKeptCount:
@@ -258,31 +261,44 @@ class TestSpinPolicy:
         assert out is None
 
     def test_decode_fast_path_matches_build_mask(self):
-        # the specialized single-query path must agree with the reference
-        # build_mask rule (same K, same tie-breaking) on every strategy
+        # the policy's one path must agree with the oracle scores and the
+        # oracle top-K (same K, same tie-breaking) on every strategy, for
+        # prefill rows (T > 1) and decode rows (T = 1) alike; rows below the
+        # maskable floor stay all-ones
         engine = tiny_engine(seed=9)
         prompt = random_prompt(8, engine.config)
+        layout = prompt.layout()
+        H, dk = engine.config.n_heads, engine.config.d_head
+        T = len(prompt)
         rng = SplitMix64(3)
         for strategy in ("image_attention", "total_attention", "query_norm", "key_norm"):
             for trial in range(20):
-                cfg = spin(r=(0.25, 0.5, 0.75)[trial % 3], alpha=0.25, strategy=strategy)
+                r = (0.25, 0.5, 0.75)[trial % 3]
+                cfg = spin(r=r, alpha=0.25, strategy=strategy)
                 policy = make_policy(cfg, engine)
                 cache = engine.new_cache()
                 engine.prefill(prompt, cache)
-                pos = np.array([len(prompt) - 1])
-                H, dk = engine.config.n_heads, engine.config.d_head
-                q = (2 * rng.uniforms(H * dk) - 1).reshape(1, H, dk).astype(np.float32)
+                q = (2 * rng.uniforms(T * H * dk) - 1).reshape(T, H, dk).astype(np.float32)
                 if trial % 5 == 0:
                     q[:] = 0.0  # all-tied scores exercise the index tie-break
-                got = policy(0, q, cache, pos, prompt.layout())[0]
                 keys = cache.keys(0)
-                layout = prompt.layout()
-                if strategy == "image_attention":
-                    ref_scores = score_heads_image_attention(q[0], keys, layout.i_start, layout.i_end)
-                else:
-                    ref_scores = score_heads_alternative(strategy, q[0], keys)
-                want = build_mask(np.asarray(ref_scores, np.float32), cfg, 1)
-                assert np.array_equal(got, want), (strategy, trial)
+                for positions in (np.arange(T), np.array([T - 1])):
+                    rows = q[-len(positions):]
+                    got = policy(0, rows, cache, positions, layout)
+                    for t, pos in enumerate(positions):
+                        if pos < layout.i_end:
+                            assert (got[t] == 1.0).all(), (strategy, trial, pos)
+                            continue
+                        visible = keys[:, : pos + 1]
+                        if strategy == "image_attention":
+                            ref = score_heads_image_attention(rows[t], visible, layout.i_start, layout.i_end)
+                        else:
+                            ref = score_heads_alternative(strategy, rows[t], visible)
+                        kept = top_k_heads(np.asarray(ref, np.float32), kept_count(r, H))
+                        want = np.full(H, np.float32(0.25))
+                        want[kept] = 1.0
+                        assert np.array_equal(got[t], want), (strategy, trial, pos)
+                        assert np.array_equal(build_mask(np.asarray(ref, np.float32), cfg, 1), want)
 
     def test_batch_scores_match_single_query_ops(self):
         engine = tiny_engine(seed=3)
@@ -292,11 +308,13 @@ class TestSpinPolicy:
         S = len(prompt)
         q = (2 * rng.uniforms(2 * H * dk) - 1).reshape(2, H, dk).astype(np.float32)
         keys = (2 * rng.uniforms(H * S * dk) - 1).reshape(H, S, dk).astype(np.float32)
+        cache = KvCache(1, H, dk, S)
+        cache.extend(0, keys.transpose(1, 0, 2), np.zeros((S, H, dk), np.float32))
         positions = np.array([S - 2, S - 1])
         layout = prompt.layout()
         for strategy in ("image_attention", "total_attention", "query_norm", "key_norm"):
             policy = make_policy(spin(r=0.5, alpha=0.0, strategy=strategy), engine)
-            batch = policy._scores(q, keys, positions, layout)
+            batch = policy._scores(q, cache, 0, positions, layout)
             for t, pos in enumerate(positions):
                 visible = keys[:, : pos + 1]
                 if strategy == "image_attention":
