@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -302,7 +303,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at interpreter exit must not raise again
+        os.close(devnull)
+        print("runtime error: output pipe closed", file=sys.stderr)
+        return 4
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

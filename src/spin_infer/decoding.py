@@ -1,9 +1,23 @@
 """Token selection strategies and stopping logic on top of the engine.
 
-All three strategies stop at eos_id or max_new_tokens. The repetition
-penalty applies to generated tokens only (never to prompt tokens) with the
-sign-dependent divide/multiply convention. Nucleus sampling draws its
-uniforms from a seeded splitmix64 stream, so sequences are reproducible.
+Greedy, nucleus and beam search share one loop over live hypotheses. Each
+step expands every live hypothesis into children, best first, as
+(score, parent index, token): greedy takes the argmax, nucleus draws one
+token from the seeded splitmix64 stream (so sequences are reproducible),
+and beam takes each hypothesis' top `beam_width` tokens by log-probability.
+Every eos child finishes; at most `width` other children stay live (width
+is 1 for greedy and nucleus). At max_new_tokens the live children finish
+without a step, and a child whose step would overflow the context finishes
+and sets `truncated`. The result is the finished sequence with the best
+length-normalized score, earliest first on ties.
+
+A hypothesis hands its KV cache to its last kept child; every earlier
+child steps a fork taken before that. Greedy and nucleus therefore never
+fork, and beam search forks only where a parent keeps several children.
+
+The repetition penalty applies to generated tokens only (never to prompt
+tokens) with the sign-dependent divide/multiply convention. Non-finite
+logits from prefill or a step raise DataError.
 """
 
 from __future__ import annotations
@@ -13,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import AttnObserver, Engine, KvCache, MaskPolicy, MultimodalPrompt
-from .errors import ConfigError, ContextOverflowError
+from .engine import AttnObserver, Engine, MaskPolicy, MultimodalPrompt
+from .errors import ConfigError, ContextOverflowError, DataError
 from .prng import SplitMix64
 
 DECODE_STRATEGIES = ("greedy", "beam", "nucleus")
@@ -117,176 +131,10 @@ def _nucleus_pick(logits: np.ndarray, p: float, rng: SplitMix64) -> int:
     return int(sel[min(j, m - 1)])
 
 
-def _decode_sequential(
-    engine: Engine,
-    prompt: MultimodalPrompt,
-    config: DecodeConfig,
-    pick,
-    policy: MaskPolicy | None,
-    observer: AttnObserver | None,
-) -> GenerationResult:
-    cache = engine.new_cache()
-    layout = prompt.layout()
-    t0 = time.perf_counter()
-    logits = engine.prefill(prompt, cache, policy)
-    prefill_s = time.perf_counter() - t0
-
-    tokens: list[int] = []
-    lat: list[float] = []
-    truncated = False
-    ended = False
-    loop_start = time.perf_counter()
-    while True:
-        t_step = time.perf_counter()
-        z = apply_repetition_penalty(logits, tokens, config.repetition_penalty)
-        nxt = pick(z)
-        tokens.append(nxt)
-        if config.eos_id is not None and nxt == config.eos_id:
-            ended = True
-            lat.append(time.perf_counter() - t_step)
-            break
-        if len(tokens) >= config.max_new_tokens:
-            lat.append(time.perf_counter() - t_step)
-            break
-        try:
-            logits = engine.step(nxt, cache, layout, policy, observer)
-        except ContextOverflowError:
-            truncated = True
-            lat.append(time.perf_counter() - t_step)
-            break
-        lat.append(time.perf_counter() - t_step)
-    decode_s = time.perf_counter() - loop_start
-    return GenerationResult(
-        token_ids=tokens,
-        step_latencies=lat,
-        prefill_latency=prefill_s,
-        decode_latency=decode_s,
-        truncated=truncated,
-        ended_at_eos=ended,
-    )
-
-
-def decode_greedy(
-    engine: Engine,
-    prompt: MultimodalPrompt,
-    config: DecodeConfig,
-    policy: MaskPolicy | None = None,
-    observer: AttnObserver | None = None,
-) -> GenerationResult:
-    """Argmax decoding; ties go to the lowest token id."""
-    return _decode_sequential(engine, prompt, config, lambda z: int(np.argmax(z)), policy, observer)
-
-
-def decode_nucleus(
-    engine: Engine,
-    prompt: MultimodalPrompt,
-    config: DecodeConfig,
-    policy: MaskPolicy | None = None,
-    observer: AttnObserver | None = None,
-) -> GenerationResult:
-    rng = SplitMix64(config.seed)
-    return _decode_sequential(
-        engine, prompt, config, lambda z: _nucleus_pick(z, config.nucleus_p, rng), policy, observer
-    )
-
-
-class _Beam:
-    __slots__ = ("cache", "tokens", "logp_sum", "logits")
-
-    def __init__(self, cache: KvCache, tokens: list[int], logp_sum: float, logits: np.ndarray):
-        self.cache = cache
-        self.tokens = tokens
-        self.logp_sum = logp_sum
-        self.logits = logits
-
-
-def decode_beam(
-    engine: Engine,
-    prompt: MultimodalPrompt,
-    config: DecodeConfig,
-    policy: MaskPolicy | None = None,
-    observer: AttnObserver | None = None,
-) -> GenerationResult:
-    """Length-normalized beam search; every beam owns a forked KvCache, so
-    SPIN masks are computed per beam per step."""
-    width = config.beam_width
-    layout = prompt.layout()
-    cache0 = engine.new_cache()
-    t0 = time.perf_counter()
-    logits0 = engine.prefill(prompt, cache0, policy)
-    prefill_s = time.perf_counter() - t0
-
-    live = [_Beam(cache0, [], 0.0, logits0)]
-    finished: list[tuple[float, int, list[int], bool]] = []  # (norm_score, order, tokens, at_eos)
-    step_scores: list[list[float]] = []
-    lat: list[float] = []
-    truncated = False
-    loop_start = time.perf_counter()
-
-    for step in range(1, config.max_new_tokens + 1):
-        t_step = time.perf_counter()
-        candidates: list[tuple[float, int, int]] = []  # (-score, beam_idx, token)
-        for bi, beam in enumerate(live):
-            z = apply_repetition_penalty(beam.logits, beam.tokens, config.repetition_penalty)
-            logp = _log_softmax64(z)
-            top = np.argsort(-logp, kind="stable")[:width]
-            for tok in top:
-                candidates.append((-(beam.logp_sum + float(logp[tok])), bi, int(tok)))
-        candidates.sort()
-
-        new_live: list[tuple[float, int, int]] = []
-        for neg, bi, tok in candidates:
-            score = -neg
-            seq = live[bi].tokens + [tok]
-            if config.eos_id is not None and tok == config.eos_id:
-                finished.append((score / len(seq), len(finished), seq, True))
-                continue
-            if len(new_live) < width:
-                new_live.append((score, bi, tok))
-        step_scores.append([s for s, _, _ in new_live])
-
-        if not new_live:
-            lat.append(time.perf_counter() - t_step)
-            break
-        if step == config.max_new_tokens:
-            for score, bi, tok in new_live:
-                seq = live[bi].tokens + [tok]
-                finished.append((score / len(seq), len(finished), seq, False))
-            lat.append(time.perf_counter() - t_step)
-            break
-
-        children: list[_Beam] = []
-        overflow = False
-        for score, bi, tok in new_live:
-            cache = live[bi].cache.fork()
-            try:
-                logits = engine.step(tok, cache, layout, policy, observer)
-            except ContextOverflowError:
-                seq = live[bi].tokens + [tok]
-                finished.append((score / len(seq), len(finished), seq, False))
-                overflow = True
-                continue
-            children.append(_Beam(cache, live[bi].tokens + [tok], score, logits))
-        truncated = truncated or overflow
-        live = children
-        lat.append(time.perf_counter() - t_step)
-        if not live:
-            break
-
-    decode_s = time.perf_counter() - loop_start
-    if not finished:
-        raise ConfigError("beam search finished no candidate (unexpected)")
-    finished.sort(key=lambda f: (-f[0], f[1]))
-    _, _, best, at_eos = finished[0]
-    return GenerationResult(
-        token_ids=best,
-        step_latencies=lat,
-        prefill_latency=prefill_s,
-        decode_latency=decode_s,
-        truncated=truncated,
-        ended_at_eos=at_eos,
-        beam_step_scores=step_scores,
-    )
+def _finite(logits: np.ndarray, position: int) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise DataError(f"non-finite logits (NaN or inf) at position {position}")
+    return logits
 
 
 def generate(
@@ -297,9 +145,80 @@ def generate(
     observer: AttnObserver | None = None,
     token_table=None,
 ) -> GenerationResult:
-    """Strategy dispatcher; fills `text` when a token table is supplied."""
-    fn = {"greedy": decode_greedy, "beam": decode_beam, "nucleus": decode_nucleus}[config.strategy]
-    result = fn(engine, prompt, config, policy, observer)
+    """Decode one prompt with `config.strategy`; fills `text` when a token
+    table is supplied."""
+    beam = config.strategy == "beam"
+    width = config.beam_width if beam else 1
+    rng = SplitMix64(config.seed)
+    layout = prompt.layout()
+    cache = engine.new_cache()
+    t0 = time.perf_counter()
+    logits = _finite(engine.prefill(prompt, cache, policy), len(prompt) - 1)
+    prefill_s = time.perf_counter() - t0
+
+    live = [([], 0.0, cache, logits)]  # (tokens, score, cache, next-token logits)
+    finished: list[tuple[float, int, list[int], bool]] = []  # (norm_score, order, tokens, at_eos)
+    step_scores: list[list[float]] = []
+    lat: list[float] = []
+    truncated = False
+    loop_start = time.perf_counter()
+
+    for step in range(1, config.max_new_tokens + 1):
+        t_step = time.perf_counter()
+        children: list[tuple[float, int, int]] = []  # (score, parent index, token)
+        for i, (tokens, score, _, z) in enumerate(live):
+            z = apply_repetition_penalty(z, tokens, config.repetition_penalty)
+            if beam:
+                logp = _log_softmax64(z)
+                top = np.argsort(-logp, kind="stable")[:width]
+                children += [(score + float(logp[t]), i, int(t)) for t in top]
+            elif config.strategy == "greedy":
+                children.append((score, i, int(np.argmax(z))))  # ties go to the lowest token id
+            else:
+                children.append((score, i, _nucleus_pick(z, config.nucleus_p, rng)))
+        children.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+        kept: list[tuple[float, int, list[int]]] = []
+        for score, i, tok in children:
+            seq = live[i][0] + [tok]
+            if tok == config.eos_id:
+                finished.append((score / len(seq), len(finished), seq, True))
+            elif len(kept) < width:
+                kept.append((score, i, seq))
+        if beam:
+            step_scores.append([score for score, _, _ in kept])
+
+        last_child = {i: n for n, (_, i, _) in enumerate(kept)}
+        new_live = []
+        for n, (score, i, seq) in enumerate(kept):
+            if step == config.max_new_tokens:
+                finished.append((score / len(seq), len(finished), seq, False))
+                continue
+            parent = live[i][2]
+            child = parent if last_child[i] == n else parent.fork()
+            try:
+                z = engine.step(seq[-1], child, layout, policy, observer)
+            except ContextOverflowError:
+                finished.append((score / len(seq), len(finished), seq, False))
+                truncated = True
+                continue
+            new_live.append((seq, score, child, _finite(z, layout.prompt_len + len(seq) - 1)))
+        live = new_live
+        lat.append(time.perf_counter() - t_step)
+        if not live:
+            break
+
+    decode_s = time.perf_counter() - loop_start
+    _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
+    result = GenerationResult(
+        token_ids=best,
+        step_latencies=lat,
+        prefill_latency=prefill_s,
+        decode_latency=decode_s,
+        truncated=truncated,
+        ended_at_eos=at_eos,
+        beam_step_scores=step_scores if beam else None,
+    )
     if token_table is not None:
-        result.text = token_table.decode(result.token_ids)
+        result.text = token_table.decode(best)
     return result

@@ -183,14 +183,17 @@ class Engine:
         c = self.config
         return KvCache(c.n_layers, c.n_heads, c.d_head, max_len or c.max_seq_len)
 
-    def _rope(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Rotate (T, H, dk) by position; odd trailing dim passes through."""
-        half = self._inv_freq.shape[0]
+    def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos/sin tables (T, 1, dk // 2) for rows at `positions`."""
+        ang = positions.astype(np.float32)[:, None] * self._inv_freq[None, :]
+        return np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+
+    @staticmethod
+    def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        """Rotate (T, H, dk) by the tables' positions; odd trailing dim passes through."""
+        half = cos.shape[-1]
         if half == 0:
             return x
-        ang = positions.astype(np.float32)[:, None] * self._inv_freq[None, :]
-        cos = np.cos(ang)[:, None, :]
-        sin = np.sin(ang)[:, None, :]
         x1 = x[..., :half]
         x2 = x[..., half : 2 * half]
         out = x.copy()
@@ -270,10 +273,11 @@ class Engine:
         ck = self.checkpoint
         T = x.shape[0]
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
+        cos, sin = self._rope_tables(positions)
         for layer in range(c.n_layers):
             h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-            q = self._rope((h @ ck.layer(layer, "wq")).reshape(T, c.n_heads, c.d_head), positions)
-            k = self._rope((h @ ck.layer(layer, "wk")).reshape(T, c.n_heads, c.d_head), positions)
+            q = self._rope((h @ ck.layer(layer, "wq")).reshape(T, c.n_heads, c.d_head), cos, sin)
+            k = self._rope((h @ ck.layer(layer, "wk")).reshape(T, c.n_heads, c.d_head), cos, sin)
             v = (h @ ck.layer(layer, "wv")).reshape(T, c.n_heads, c.d_head)
             cache.extend(layer, k, v)
             K = cache.keys(layer)  # (H, S, dk)

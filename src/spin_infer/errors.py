@@ -25,9 +25,5 @@ class DataError(SpinInferError):
     """Malformed or inconsistent input data (corpus, vocab, checkpoint, trace)."""
 
 
-class SpanError(DataError):
-    """A vision span that does not fit the current context."""
-
-
 class ContextOverflowError(SpinInferError):
     """The sequence would exceed the model's max_seq_len."""

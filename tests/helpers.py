@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax, gelu, rmsnorm
-from spin_infer.errors import ConfigError, SpanError
+from spin_infer.errors import ConfigError, DataError
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64
 
@@ -36,11 +36,11 @@ def reference_step(engine: Engine, x, cache: KvCache, position: int):
     operation order so the logits must agree bit-for-bit."""
     c = engine.config
     ck = engine.checkpoint
-    pos = np.array([position])
+    cos, sin = engine._rope_tables(np.array([position]))
     for layer in range(c.n_layers):
         h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head), pos)
-        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(1, c.n_heads, c.d_head), pos)
+        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head), cos, sin)
+        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(1, c.n_heads, c.d_head), cos, sin)
         v = (h @ ck.layer(layer, "wv")).reshape(1, c.n_heads, c.d_head)
         cache.extend(layer, k, v)
         K = cache.keys(layer)
@@ -67,9 +67,9 @@ def score_heads_image_attention(
     vision span only, with no softmax and no 1/sqrt(d_k) scaling.
     """
     if keys.shape[1] < i_end:
-        raise SpanError(f"vision span end {i_end} outside cached context of {keys.shape[1]} rows")
+        raise DataError(f"vision span end {i_end} outside cached context of {keys.shape[1]} rows")
     if not 0 <= i_start < i_end:
-        raise SpanError(f"bad vision span [{i_start}, {i_end})")
+        raise DataError(f"bad vision span [{i_start}, {i_end})")
     kv = keys[:, i_start:i_end]  # (H, Nv, dk)
     return np.einsum("hd,hsd->h", q, kv.astype(np.float32))
 

@@ -19,9 +19,7 @@ from spin_infer.config import load_run_config
 from spin_infer.decoding import (
     DecodeConfig,
     apply_repetition_penalty,
-    decode_beam,
-    decode_greedy,
-    decode_nucleus,
+    generate,
     _nucleus_pick,
 )
 from spin_infer.engine import Engine, KvCache, MultimodalPrompt, PromptLayout
@@ -87,11 +85,11 @@ def test_criterion_01_baseline_equivalence():
             greedy_cfg = DecodeConfig(max_new_tokens=6, eos_id=0, seed=i)
             beam_cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=6,
                                     eos_id=0, seed=i)
-            base_g = decode_greedy(engine, prompt, greedy_cfg).token_ids
-            base_b = decode_beam(engine, prompt, beam_cfg).token_ids
+            base_g = generate(engine, prompt, greedy_cfg).token_ids
+            base_b = generate(engine, prompt, beam_cfg).token_ids
             for policy in (r0, a1):
-                assert decode_greedy(engine, prompt, greedy_cfg, policy).token_ids == base_g, i
-                assert decode_beam(engine, prompt, beam_cfg, policy).token_ids == base_b, i
+                assert generate(engine, prompt, greedy_cfg, policy).token_ids == base_g, i
+                assert generate(engine, prompt, beam_cfg, policy).token_ids == base_b, i
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s (limit 60s)"
 
@@ -313,7 +311,7 @@ def test_criterion_05_planted_bias_suppression():
                 rng = SplitMix64(pseed)
                 suffix = [1 + rng.choice(config.vocab_size - 1) for _ in range(4)]
                 prompt = MultimodalPrompt([], e1_vision(16, config.d_model), suffix)
-                decode_greedy(engine, prompt, DecodeConfig(max_new_tokens=30, eos_id=None, seed=pseed), spy)
+                generate(engine, prompt, DecodeConfig(max_new_tokens=30, eos_id=None, seed=pseed), spy)
             return sets
 
         image_sets = kept_sets_for("image_attention")
@@ -350,7 +348,7 @@ def test_criterion_06_throughput_parity():
         spin = spin_policy(engine, r=0.25, alpha=0.0, layer_lo=1, layer_hi=8)
 
         def run_plain(prompt, policy):
-            res = decode_greedy(engine, prompt, dcfg, policy)
+            res = generate(engine, prompt, dcfg, policy)
             return res.n_new_tokens, res.decode_latency
 
         def run_two_pass(prompt):
@@ -424,14 +422,14 @@ def test_criterion_08_decoding_contracts():
         for i in range(50):
             prompt = random_prompt(i, engine.config,
                                    n_prefix=i % 3, n_vision=1 + i % 4, n_suffix=1 + i % 3)
-            g = decode_greedy(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0, seed=i))
-            b = decode_beam(engine, prompt,
-                            DecodeConfig(strategy="beam", beam_width=1, max_new_tokens=8,
-                                         eos_id=0, seed=i))
+            g = generate(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0, seed=i))
+            b = generate(engine, prompt,
+                         DecodeConfig(strategy="beam", beam_width=1, max_new_tokens=8,
+                                      eos_id=0, seed=i))
             assert b.token_ids == g.token_ids, i
-            n = decode_nucleus(engine, prompt,
-                               DecodeConfig(strategy="nucleus", nucleus_p=1e-9,
-                                            max_new_tokens=8, eos_id=0, seed=i))
+            n = generate(engine, prompt,
+                         DecodeConfig(strategy="nucleus", nucleus_p=1e-9,
+                                      max_new_tokens=8, eos_id=0, seed=i))
             assert n.token_ids == g.token_ids, i
 
         target = np.array([0.5, 0.3, 0.2])

@@ -151,9 +151,9 @@ class TestAggregateMasks:
         cfg = self.cfg(r=0.5, lo=1, hi=2)
         trace = MaskTraceWriter(open(p, "w"), engine.config.n_layers, engine.config.n_heads, cfg)
         policy = SpinPolicy(cfg, engine.config.n_layers, engine.config.n_heads, trace)
-        from spin_infer.decoding import decode_greedy
+        from spin_infer.decoding import generate
 
-        decode_greedy(engine, prompt, DecodeConfig(max_new_tokens=5, eos_id=None), policy)
+        generate(engine, prompt, DecodeConfig(max_new_tokens=5, eos_id=None), policy)
         trace.close()
         hm = aggregate_masks([p])
         # every in-range layer keeps exactly K=2 of 4 heads per step

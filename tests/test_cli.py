@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spin_infer
 from spin_infer.cli import main
 
 
@@ -31,6 +36,24 @@ class TestInitCkpt:
         )
         assert code == 2
         assert "config error" in err
+
+
+    def test_closed_stdout_pipe_exits_4_without_traceback(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(spin_infer.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spin_infer.cli", "init-ckpt", "--layers", "1", "--heads", "2",
+                 "--d-model", "8", "--d-ffn", "8", "--vocab-size", "16", "--out", str(tmp_path / "m.spnm")],
+                stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 4, err
+        assert "Traceback" not in err
+        assert err.startswith("runtime error:")
 
 
 class TestMakeCorpus:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,21 +8,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_infer.decoding import (
+    DECODE_STRATEGIES,
     DecodeConfig,
     apply_repetition_penalty,
-    decode_beam,
-    decode_greedy,
-    decode_nucleus,
     generate,
     _nucleus_pick,
 )
-from spin_infer.errors import ConfigError
+from spin_infer.engine import Engine, KvCache
+from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
+from spin_infer.spin import SpinConfig, SpinPolicy
 
 from helpers import StubEngine, random_prompt, stub_prompt, tiny_engine
 
 # frozen from the first verified run of tiny_engine(seed=42) / random_prompt(11)
 GOLDEN_GREEDY = [38, 38, 63, 53, 55, 25, 53, 55, 25, 53, 55, 13]
+
+# Frozen from the decoder before greedy, nucleus and beam shared one loop:
+# tiny_engine(seed=42) / random_prompt(11), max_new_tokens=10, SPIN (when on)
+# r=0.5, alpha=0 on layers 1-2. Beam step scores are pinned by the sha256 of
+# their JSON, which spells every float exactly.
+# (beam_width, eos_id, spin, token_ids, step-score digest, ended_at_eos)
+GOLDEN_BEAM = [
+    (2, None, False, [39, 38, 38, 38, 38, 63, 53, 55, 25, 53], "9615dce9f1b4f4f5", False),
+    (2, None, True, [43, 35, 55, 13, 2, 13, 26, 55, 13, 26], "a6c199167e2cd0c6", False),
+    (2, 53, False, [39, 38, 63, 53], "3ce5bd1cf8992b95", True),
+    (2, 53, True, [43, 35, 55, 13, 2, 13, 26, 55, 13, 26], "ff573c8875283768", False),
+    (3, None, False, [39, 38, 38, 38, 38, 63, 53, 55, 25, 53], "9ae83714bf25e057", False),
+    (3, None, True, [17, 17, 34, 55, 13, 38, 6, 5, 38, 6], "391f52f2be05cf44", False),
+    (3, 53, False, [39, 38, 63, 53], "95eb7d6a27c113aa", True),
+    (3, 53, True, [17, 17, 34, 55, 13, 38, 6, 5, 38, 6], "ae0c01546f92e37a", False),
+    (5, None, False, [39, 38, 1, 39, 45, 38, 38, 63, 53, 55], "9e036876ac9d8247", False),
+    (5, None, True, [17, 17, 34, 55, 13, 38, 44, 25, 53, 55], "64b6de83e326e383", False),
+    (5, 53, False, [39, 38, 1, 39, 38, 39, 38, 63, 55, 25], "65bbd51e3e0be0e0", False),
+    (5, 53, True, [17, 17, 34, 55, 13, 38, 44, 25, 53], "d238eba696cbe9d6", True),
+]
+# (seed, eos_id, spin, token_ids, ended_at_eos) at nucleus_p=0.9
+GOLDEN_NUCLEUS = [
+    (0, None, False, [52, 7, 38, 33, 39, 33, 63, 43, 16, 62], False),
+    (0, None, True, [5, 37, 48, 31, 13, 45, 2, 34, 44, 15], False),
+    (0, 53, False, [52, 7, 38, 33, 39, 33, 63, 43, 16, 62], False),
+    (0, 53, True, [5, 37, 48, 31, 13, 45, 2, 34, 44, 15], False),
+    (1, None, False, [6, 14, 41, 58, 43, 32, 40, 59, 63, 42], False),
+    (1, None, True, [24, 29, 53, 16, 31, 0, 51, 5, 55, 53], False),
+    (1, 53, False, [6, 14, 41, 58, 43, 32, 40, 59, 63, 42], False),
+    (1, 53, True, [24, 29, 53], True),
+]
+# max_seq_len=14 leaves 5 free slots after the 9-token prompt; eos off,
+# beam_width=3, seed=4: (token_ids, step-score digest)
+GOLDEN_TRUNCATED = {
+    "greedy": ([38, 38, 63, 53, 55, 25], None),
+    "beam": ([39, 38, 38, 38, 38, 63], "a032e883f6989abc"),
+    "nucleus": ([7, 52, 5, 17, 58, 21], None),
+}
+
+
+def score_digest(scores) -> str:
+    return hashlib.sha256(json.dumps(scores).encode()).hexdigest()[:16]
+
+
+def golden_setup(spin_on: bool, **engine_kw):
+    engine = tiny_engine(seed=42, **engine_kw)
+    cfg = SpinConfig(r=0.5, alpha=0.0, layer_lo=1, layer_hi=2)
+    policy = SpinPolicy(cfg, engine.config.n_layers, engine.config.n_heads) if spin_on else None
+    return engine, random_prompt(11, engine.config), policy
 
 
 class TestDecodeConfig:
@@ -67,7 +118,7 @@ class TestRepetitionPenalty:
         # both are in context, 2/2=1.0 beats 1.9/2=0.95 again
         eng = StubEngine([2.0, 1.9, -5.0])
         cfg = DecodeConfig(max_new_tokens=4, eos_id=None, repetition_penalty=2.0)
-        res = decode_greedy(eng, stub_prompt(), cfg)
+        res = generate(eng, stub_prompt(), cfg)
         assert res.token_ids == [0, 1, 0, 0]
 
 
@@ -75,41 +126,41 @@ class TestGreedy:
     def test_dominant_logit_repeats_until_cap(self):
         eng = StubEngine([0.0, 5.0, 1.0])
         cfg = DecodeConfig(max_new_tokens=6, eos_id=None)
-        res = decode_greedy(eng, stub_prompt(), cfg)
+        res = generate(eng, stub_prompt(), cfg)
         assert res.token_ids == [1] * 6
         assert not res.ended_at_eos
 
     def test_stops_at_eos(self):
         eng = StubEngine([0.0, 5.0, 1.0], after={1: np.array([9.0, 0.0, 0.0])})
         cfg = DecodeConfig(max_new_tokens=6, eos_id=0)
-        res = decode_greedy(eng, stub_prompt(), cfg)
+        res = generate(eng, stub_prompt(), cfg)
         assert res.token_ids == [1, 0]
         assert res.ended_at_eos
 
     def test_tie_breaks_to_lowest_id(self):
         eng = StubEngine([3.0, 3.0, 3.0])
         cfg = DecodeConfig(max_new_tokens=2, eos_id=None)
-        assert decode_greedy(eng, stub_prompt(), cfg).token_ids == [0, 0]
+        assert generate(eng, stub_prompt(), cfg).token_ids == [0, 0]
 
     def test_deterministic_repeat(self):
         engine = tiny_engine(seed=42)
         prompt = random_prompt(11, engine.config)
         cfg = DecodeConfig(max_new_tokens=12, eos_id=0, seed=0)
-        a = decode_greedy(engine, prompt, cfg)
-        b = decode_greedy(engine, prompt, cfg)
+        a = generate(engine, prompt, cfg)
+        b = generate(engine, prompt, cfg)
         assert a.token_ids == b.token_ids
 
     def test_golden_sequence(self):
         engine = tiny_engine(seed=42)
         prompt = random_prompt(11, engine.config)
         cfg = DecodeConfig(max_new_tokens=12, eos_id=0, seed=0)
-        assert decode_greedy(engine, prompt, cfg).token_ids == GOLDEN_GREEDY
+        assert generate(engine, prompt, cfg).token_ids == GOLDEN_GREEDY
 
     def test_latency_samples_match_tokens(self):
         engine = tiny_engine(seed=1)
         prompt = random_prompt(2, engine.config)
         cfg = DecodeConfig(max_new_tokens=5, eos_id=None)
-        res = decode_greedy(engine, prompt, cfg)
+        res = generate(engine, prompt, cfg)
         assert len(res.step_latencies) == len(res.token_ids)
         assert res.prefill_latency > 0.0
         assert res.decode_latency >= sum(res.step_latencies) * 0.5
@@ -120,9 +171,9 @@ class TestBeam:
         engine = tiny_engine(seed=6)
         for pseed in range(5):
             prompt = random_prompt(pseed, engine.config)
-            g = decode_greedy(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0))
-            b = decode_beam(engine, prompt, DecodeConfig(strategy="beam", beam_width=1,
-                                                         max_new_tokens=8, eos_id=0))
+            g = generate(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0))
+            b = generate(engine, prompt, DecodeConfig(strategy="beam", beam_width=1,
+                                                      max_new_tokens=8, eos_id=0))
             assert b.token_ids == g.token_ids, pseed
 
     def test_finds_higher_joint_probability(self):
@@ -135,7 +186,7 @@ class TestBeam:
         }
         eng = StubEngine(first, after)
         cfg = DecodeConfig(strategy="beam", beam_width=2, max_new_tokens=2, eos_id=None)
-        res = decode_beam(eng, stub_prompt(), cfg)
+        res = generate(eng, stub_prompt(), cfg)
 
         # brute-force oracle over every 2-token sequence
         def logp(seq):
@@ -151,7 +202,7 @@ class TestBeam:
     def test_all_beams_eos_at_step_one(self):
         eng = StubEngine([9.0, 0.0, 0.0])
         cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=5, eos_id=0)
-        res = decode_beam(eng, stub_prompt(), cfg)
+        res = generate(eng, stub_prompt(), cfg)
         assert res.token_ids == [0]
         assert res.ended_at_eos
 
@@ -159,7 +210,7 @@ class TestBeam:
         engine = tiny_engine(seed=3)
         prompt = random_prompt(4, engine.config)
         cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=6, eos_id=None)
-        res = decode_beam(engine, prompt, cfg)
+        res = generate(engine, prompt, cfg)
         assert res.beam_step_scores
         for scores in res.beam_step_scores:
             assert all(a >= b for a, b in zip(scores, scores[1:]))
@@ -168,31 +219,31 @@ class TestBeam:
         engine = tiny_engine(seed=3)
         prompt = random_prompt(4, engine.config)
         cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=6, eos_id=0)
-        assert decode_beam(engine, prompt, cfg).token_ids == decode_beam(engine, prompt, cfg).token_ids
+        assert generate(engine, prompt, cfg).token_ids == generate(engine, prompt, cfg).token_ids
 
 
 class TestNucleus:
     def test_singleton_nucleus_equals_greedy(self):
         engine = tiny_engine(seed=8)
         prompt = random_prompt(2, engine.config)
-        g = decode_greedy(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0))
-        n = decode_nucleus(engine, prompt, DecodeConfig(strategy="nucleus", nucleus_p=1e-6,
-                                                        max_new_tokens=8, eos_id=0, seed=123))
+        g = generate(engine, prompt, DecodeConfig(max_new_tokens=8, eos_id=0))
+        n = generate(engine, prompt, DecodeConfig(strategy="nucleus", nucleus_p=1e-6,
+                                                  max_new_tokens=8, eos_id=0, seed=123))
         assert n.token_ids == g.token_ids
 
     def test_seeded_reproducibility(self):
         engine = tiny_engine(seed=8)
         prompt = random_prompt(2, engine.config)
         cfg = DecodeConfig(strategy="nucleus", nucleus_p=0.95, max_new_tokens=10, eos_id=0, seed=77)
-        assert decode_nucleus(engine, prompt, cfg).token_ids == decode_nucleus(engine, prompt, cfg).token_ids
+        assert generate(engine, prompt, cfg).token_ids == generate(engine, prompt, cfg).token_ids
 
     def test_different_seeds_usually_differ(self):
         engine = tiny_engine(seed=8)
         prompt = random_prompt(2, engine.config)
         outs = {
-            tuple(decode_nucleus(engine, prompt, DecodeConfig(strategy="nucleus", nucleus_p=1.0,
-                                                              max_new_tokens=10, eos_id=None,
-                                                              seed=s)).token_ids)
+            tuple(generate(engine, prompt, DecodeConfig(strategy="nucleus", nucleus_p=1.0,
+                                                        max_new_tokens=10, eos_id=None,
+                                                        seed=s)).token_ids)
             for s in range(5)
         }
         assert len(outs) > 1
@@ -229,6 +280,93 @@ class TestNucleus:
         assert pick in set(order[:m].tolist())
 
 
+class TestGolden:
+    @pytest.mark.parametrize("width, eos_id, spin_on, tokens, digest, at_eos", GOLDEN_BEAM)
+    def test_beam(self, width, eos_id, spin_on, tokens, digest, at_eos):
+        engine, prompt, policy = golden_setup(spin_on)
+        cfg = DecodeConfig(strategy="beam", beam_width=width, max_new_tokens=10, eos_id=eos_id)
+        res = generate(engine, prompt, cfg, policy)
+        assert res.token_ids == tokens
+        assert len(res.beam_step_scores) == 10
+        assert score_digest(res.beam_step_scores) == digest
+        assert res.ended_at_eos is at_eos
+        assert not res.truncated
+
+    @pytest.mark.parametrize("seed, eos_id, spin_on, tokens, at_eos", GOLDEN_NUCLEUS)
+    def test_nucleus(self, seed, eos_id, spin_on, tokens, at_eos):
+        engine, prompt, policy = golden_setup(spin_on)
+        cfg = DecodeConfig(strategy="nucleus", nucleus_p=0.9, max_new_tokens=10, eos_id=eos_id, seed=seed)
+        res = generate(engine, prompt, cfg, policy)
+        assert res.token_ids == tokens
+        assert res.beam_step_scores is None
+        assert res.ended_at_eos is at_eos
+        assert not res.truncated
+
+    @pytest.mark.parametrize("strategy", DECODE_STRATEGIES)
+    def test_truncated(self, strategy):
+        engine, prompt, _ = golden_setup(False, max_seq_len=14)
+        cfg = DecodeConfig(strategy=strategy, beam_width=3, max_new_tokens=10, eos_id=None, seed=4)
+        res = generate(engine, prompt, cfg)
+        tokens, digest = GOLDEN_TRUNCATED[strategy]
+        assert res.token_ids == tokens
+        assert (res.beam_step_scores and score_digest(res.beam_step_scores)) == digest
+        assert res.truncated
+        assert not res.ended_at_eos
+
+
+class TestCacheHandoff:
+    @staticmethod
+    def count_calls(monkeypatch, cfg):
+        counts = {"fork": 0, "step": 0}
+        fork, step = KvCache.fork, Engine.step
+
+        def counting_fork(cache):
+            counts["fork"] += 1
+            return fork(cache)
+
+        def counting_step(engine, *args, **kwargs):
+            counts["step"] += 1
+            return step(engine, *args, **kwargs)
+
+        monkeypatch.setattr(KvCache, "fork", counting_fork)
+        monkeypatch.setattr(Engine, "step", counting_step)
+        engine, prompt, _ = golden_setup(False)
+        generate(engine, prompt, cfg)
+        return counts
+
+    @pytest.mark.parametrize("cfg", [
+        DecodeConfig(max_new_tokens=10, eos_id=None),
+        DecodeConfig(strategy="nucleus", max_new_tokens=10, eos_id=None),
+        DecodeConfig(strategy="beam", beam_width=1, max_new_tokens=10, eos_id=None),
+    ], ids=["greedy", "nucleus", "beam1"])
+    def test_single_stream_never_forks(self, monkeypatch, cfg):
+        assert self.count_calls(monkeypatch, cfg) == {"fork": 0, "step": 9}
+
+    def test_beam_forks_fewer_times_than_it_steps(self, monkeypatch):
+        cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=10, eos_id=None)
+        counts = self.count_calls(monkeypatch, cfg)
+        assert 0 < counts["fork"] < counts["step"]
+
+
+class TestNonFiniteLogits:
+    @pytest.mark.parametrize("strategy", DECODE_STRATEGIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prefill_logits(self, strategy, bad):
+        eng = StubEngine([0.0, bad, 1.0])
+        cfg = DecodeConfig(strategy=strategy, beam_width=2, max_new_tokens=4, eos_id=None)
+        with pytest.raises(DataError, match="non-finite logits .* at position 0"):
+            generate(eng, stub_prompt(), cfg)
+
+    @pytest.mark.parametrize("strategy", DECODE_STRATEGIES)
+    def test_step_logits(self, strategy):
+        # every strategy's first token is 1; the step that feeds it (at
+        # position 1, after the one-row prompt) returns a NaN
+        eng = StubEngine([0.0, 9.0, 1.0], after={1: np.array([0.0, np.nan, 1.0])})
+        cfg = DecodeConfig(strategy=strategy, beam_width=2, max_new_tokens=4, eos_id=None)
+        with pytest.raises(DataError, match="non-finite logits .* at position 1"):
+            generate(eng, stub_prompt(), cfg)
+
+
 class TestGenerateDispatch:
     def test_respects_max_new_tokens(self):
         engine = tiny_engine(seed=1)
@@ -254,6 +392,6 @@ class TestGenerateDispatch:
         engine = tiny_engine(seed=1, max_seq_len=12)
         prompt = random_prompt(1, engine.config, n_prefix=2, n_vision=4, n_suffix=3)
         cfg = DecodeConfig(max_new_tokens=20, eos_id=None)
-        res = decode_greedy(engine, prompt, cfg)
+        res = generate(engine, prompt, cfg)
         assert res.truncated
         assert len(res.token_ids) == 12 - 9 + 1  # one sampled token per free slot + final sample

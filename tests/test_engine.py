@@ -79,6 +79,13 @@ class TestCache:
         with pytest.raises(ContextOverflowError):
             engine.step(1, cache, p.layout())
 
+    def test_key_span_sum_beyond_cached_rows(self, engine, prompt):
+        cache, _, _ = prefill_and_layout(engine, prompt)
+        n = len(prompt)
+        assert np.array_equal(cache.key_span_sum(0, 1, n), cache.keys(0)[:, 1:n].sum(axis=1))
+        with pytest.raises(ContextOverflowError, match="not yet cached"):
+            cache.key_span_sum(0, 1, n + 1)
+
     def test_prompt_longer_than_max_rejected(self):
         engine = tiny_engine(max_seq_len=4)
         p = random_prompt(0, engine.config, n_prefix=1, n_vision=3, n_suffix=2)

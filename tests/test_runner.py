@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from spin_infer.config import load_run_config
+from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.runner import run_eval, spin_eval_fn
 
@@ -118,6 +120,33 @@ class TestRunEval:
         assert list(reports[0]["failures"]) == [bad["id"]]
         assert "DataError" in reports[0]["failures"][bad["id"]]
         assert bad["id"] not in reports[0]["generations"]
+        assert got.pop("n_failed_records") == 1
+        want.pop("n_failed_records")
+        assert got == want  # CHAIR and POPE cover the five good records only
+
+    def test_non_finite_logits_record_fails_and_is_not_scored(self, workspace, tmp_path, monkeypatch):
+        lines = workspace.corpus.read_text().splitlines()
+        bad = json.loads(lines[2])
+        bad_vision = np.asarray(bad["vision_embeddings"], np.float32)
+        prefill = Engine.prefill
+
+        def nan_prefill(engine, prompt, cache, policy=None, return_all_logits=False):
+            out = prefill(engine, prompt, cache, policy, return_all_logits)
+            return np.full_like(out, np.nan) if np.array_equal(prompt.vision, bad_vision) else out
+
+        without = tmp_path / "without.jsonl"
+        without.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        want = strip_timing(run_eval(load_run_config(
+            workspace.run_config(tmp_path / "without.json", eval={"corpus": str(without)}), environ={}
+        ), write_outputs=False))["metrics"]
+        monkeypatch.setattr(Engine, "prefill", nan_prefill)
+        report = run_eval(load_run_config(workspace.run_config(tmp_path / "nan.json"), environ={}),
+                          write_outputs=False)
+        got = strip_timing(report)["metrics"]
+        assert list(report["failures"]) == [bad["id"]]
+        assert "DataError" in report["failures"][bad["id"]]
+        assert "non-finite logits" in report["failures"][bad["id"]]
+        assert bad["id"] not in report["generations"]
         assert got.pop("n_failed_records") == 1
         want.pop("n_failed_records")
         assert got == want  # CHAIR and POPE cover the five good records only

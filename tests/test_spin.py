@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_infer.decoding import DecodeConfig, decode_greedy
+from spin_infer.decoding import DecodeConfig, generate
 from spin_infer.engine import Engine, KvCache, MultimodalPrompt
-from spin_infer.errors import ConfigError, SpanError
+from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
 from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
 
@@ -97,7 +97,7 @@ class TestScoring:
     def test_span_outside_cache(self):
         q = np.zeros((2, 2), np.float32)
         keys = np.zeros((2, 3, 2), np.float32)
-        with pytest.raises(SpanError):
+        with pytest.raises(DataError):
             score_heads_image_attention(q, keys, 1, 5)
 
     def test_zero_query_norm(self):
@@ -212,16 +212,16 @@ class TestSpinPolicy:
         engine = tiny_engine(seed=2)
         prompt = random_prompt(7, engine.config)
         dc = DecodeConfig(max_new_tokens=10, eos_id=None, seed=0)
-        base = decode_greedy(engine, prompt, dc)
-        spun = decode_greedy(engine, prompt, dc, make_policy(cfg, engine))
+        base = generate(engine, prompt, dc)
+        spun = generate(engine, prompt, dc, make_policy(cfg, engine))
         assert spun.token_ids == base.token_ids
 
     def test_suppression_changes_output(self):
         engine = tiny_engine(seed=2)
         prompt = random_prompt(7, engine.config)
         dc = DecodeConfig(max_new_tokens=10, eos_id=None, seed=0)
-        base = decode_greedy(engine, prompt, dc)
-        spun = decode_greedy(engine, prompt, dc, make_policy(spin(r=0.5, alpha=0.0), engine))
+        base = generate(engine, prompt, dc)
+        spun = generate(engine, prompt, dc, make_policy(spin(r=0.5, alpha=0.0), engine))
         assert spun.token_ids != base.token_ids
 
     def test_vision_and_prevision_queries_get_all_ones(self):
@@ -342,7 +342,7 @@ class TestPlantedBias:
             return masks
 
         dc = DecodeConfig(max_new_tokens=24, eos_id=None, seed=0)
-        decode_greedy(engine, prompt, dc, spy)
+        generate(engine, prompt, dc, spy)
         assert kept_sets, "no masks were recorded"
         for kept in kept_sets:
             assert {5, 6} <= kept
