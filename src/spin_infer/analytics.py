@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -244,7 +244,6 @@ def tune_three_stage(
     alpha_grid: Sequence[float],
     layer_grids: Sequence[tuple[int, int]] | None = None,
     strategy: str = "image_attention",
-    apply_to: str = "all_text_queries",
     f1_drop_limit: float = 0.03,
     tradeoff_lambda: float = 1.0,
 ) -> SweepResult:
@@ -267,14 +266,13 @@ def tune_three_stage(
     if not layer_grids:
         raise ConfigError("tuner layer grid must be non-empty")
 
-    cache: dict[tuple, dict[str, float]] = {}
+    cache: dict[SpinConfig, dict[str, float]] = {}
 
     def run(cfg: SpinConfig) -> dict[str, float]:
-        key = (cfg.strategy, cfg.r, cfg.alpha, cfg.layer_lo, cfg.layer_hi, cfg.apply_to)
-        if key not in cache:
+        if cfg not in cache:
             m = eval_fn(cfg)
-            cache[key] = {"c_s": float(m["c_s"]), "f1": float(m["f1"])}
-        return cache[key]
+            cache[cfg] = {"c_s": float(m["c_s"]), "f1": float(m["f1"])}
+        return cache[cfg]
 
     base = eval_fn(None)
     baseline = {"c_s": float(base["c_s"]), "f1": float(base["f1"])}
@@ -282,7 +280,7 @@ def tune_three_stage(
     # stage 1: ratio of suppressed heads, full stack, hard pruning
     entries1 = []
     for r in r_grid:
-        cfg = SpinConfig(strategy=strategy, r=r, alpha=0.0, layer_lo=1, layer_hi=n_layers, apply_to=apply_to)
+        cfg = SpinConfig(strategy=strategy, r=r, alpha=0.0, layer_lo=1, layer_hi=n_layers)
         m = run(cfg)
         drop = baseline["f1"] - m["f1"]
         entries1.append(
@@ -298,7 +296,7 @@ def tune_three_stage(
     # stage 2: layer range at the chosen r
     entries2 = []
     for lo, hi in layer_grids:
-        cfg = SpinConfig(strategy=strategy, r=r_sel, alpha=0.0, layer_lo=lo, layer_hi=hi, apply_to=apply_to)
+        cfg = SpinConfig(strategy=strategy, r=r_sel, alpha=0.0, layer_lo=lo, layer_hi=hi)
         entries2.append(SweepEntry(cfg, dict(run(cfg))))
     sel2 = min(range(len(entries2)), key=lambda i: (entries2[i].metrics["c_s"], i))
     lo_sel, hi_sel = entries2[sel2].config.layer_lo, entries2[sel2].config.layer_hi
@@ -306,9 +304,7 @@ def tune_three_stage(
     # stage 3: suppression factor, scalarized hallucination/F1 trade-off
     entries3 = []
     for alpha in alpha_grid:
-        cfg = SpinConfig(
-            strategy=strategy, r=r_sel, alpha=alpha, layer_lo=lo_sel, layer_hi=hi_sel, apply_to=apply_to
-        )
+        cfg = SpinConfig(strategy=strategy, r=r_sel, alpha=alpha, layer_lo=lo_sel, layer_hi=hi_sel)
         m = run(cfg)
         obj = m["c_s"] + tradeoff_lambda * (baseline["f1"] - m["f1"])
         entries3.append(SweepEntry(cfg, dict(m), objective=obj))

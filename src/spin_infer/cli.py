@@ -10,18 +10,17 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .analytics import aggregate_masks, profile_attention, tune_three_stage
-from .config import load_run_config
+from .config import load_run_config, load_spin_config
 from .corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus, load_corpus
 from .decoding import DecodeConfig, generate
 from .engine import Engine, MultimodalPrompt
-from .errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError, DataError, SpinInferError
+from .errors import ConfigError, DataError, SpinInferError
 from .model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
 from .runner import build_engine, run_eval, spin_eval_fn
-from .spin import MaskTraceWriter, SpinConfig, SpinPolicy
+from .spin import MaskTraceWriter, SpinPolicy
 
 log = logging.getLogger("spin_infer")
 
@@ -46,21 +45,6 @@ def _decode_from_args(args) -> DecodeConfig:
         eos_id=args.eos_id,
         seed=args.seed,
     )
-
-
-def _load_spin_section(path: str) -> SpinConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigNotFoundError(f"spin config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigSyntaxError(f"{p}:{e.lineno}: {e.msg}") from e
-    if isinstance(raw, dict) and "spin" in raw:
-        raw = raw["spin"]
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{p}: spin section must be a JSON object")
-    return SpinConfig.from_dict(raw)
 
 
 def _prompt_from_corpus(path: str, record_id: str | None, index: int) -> MultimodalPrompt:
@@ -121,7 +105,7 @@ def cmd_generate(args) -> int:
     policy = None
     trace = None
     if args.spin:
-        spin_cfg = _load_spin_section(args.spin)
+        spin_cfg = load_spin_config(args.spin)
         if args.trace_masks:
             trace = MaskTraceWriter(
                 open(args.trace_masks, "w", encoding="utf-8"),

@@ -1,16 +1,22 @@
 """Run configuration: one JSON file, strict validation, env overrides.
 
-Any key can be overridden with SPIN__SECTION__KEY environment variables
-(e.g. SPIN__DECODE__SEED=7); values are parsed as JSON with a plain-string
+One reader, `_section`, builds the `decode`, `eval`, `output` and
+`model.init.config` sections: it rejects unknown keys and missing required
+fields, checks each value's JSON type against the dataclass annotation, and
+leaves range checks to the dataclass's `__post_init__`. Any key can be
+overridden with SPIN__SECTION__KEY environment variables (e.g.
+SPIN__DECODE__SEED=7); values are parsed as JSON with a plain-string
 fallback. Relative paths resolve against the config file's directory.
-Validation failures name the offending dotted key.
+Validation failures name the offending dotted key. A spin file goes
+through the same JSON file reader.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .decoding import DecodeConfig
@@ -42,25 +48,20 @@ class EvalSection:
     pope: bool = True
     pope_mode: str = "multi_turn"  # or "single_turn"
     pope_max_new_tokens: int = 8
-    measure_throughput: bool = True
-    include_prefill: bool = False
     workers: int = 1
     max_records: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "vocab": self.vocab,
-            "tokens": self.tokens,
-            "chair": self.chair,
-            "pope": self.pope,
-            "pope_mode": self.pope_mode,
-            "pope_max_new_tokens": self.pope_max_new_tokens,
-            "measure_throughput": self.measure_throughput,
-            "include_prefill": self.include_prefill,
-            "workers": self.workers,
-            "max_records": self.max_records,
-        }
+    def __post_init__(self):
+        if self.pope_mode not in ("multi_turn", "single_turn"):
+            raise ConfigError(
+                f"eval.pope_mode must be 'multi_turn' or 'single_turn', got {self.pope_mode!r}"
+            )
+        if self.workers < 1:
+            raise ConfigError(f"eval.workers must be >= 1, got {self.workers}")
+        if self.pope_max_new_tokens < 1:
+            raise ConfigError(f"eval.pope_max_new_tokens must be >= 1, got {self.pope_max_new_tokens}")
+        if self.max_records is not None and self.max_records < 1:
+            raise ConfigError(f"eval.max_records must be >= 1 or null, got {self.max_records}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,6 @@ class OutputSection:
     report_json: str | None = None
     report_csv: str | None = None
     trace_masks: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "report_json": self.report_json,
-            "report_csv": self.report_csv,
-            "trace_masks": self.trace_masks,
-        }
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,9 @@ class RunConfig:
         return {
             "model": self.model.to_dict(),
             "spin": self.spin.to_dict() if self.spin else None,
-            "decode": self.decode.to_dict(),
-            "eval": self.eval.to_dict() if self.eval else None,
-            "output": self.output.to_dict(),
+            "decode": asdict(self.decode),
+            "eval": asdict(self.eval) if self.eval else None,
+            "output": asdict(self.output),
         }
 
 
@@ -126,87 +120,91 @@ def _require(cond: bool, key: str, msg: str):
         raise ConfigError(f"{key}: {msg}")
 
 
+def _check_type(value, hint, key: str) -> None:
+    """`value` must be a JSON value of a type `hint` allows."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        ok = bool in allowed
+    else:
+        ok = isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    _require(ok, key, f"expected {names}, got {value!r}")
+
+
+def _section(cls, raw, key: str):
+    """Build dataclass `cls` from the JSON object `raw` of section `key`."""
+    _require(isinstance(raw, dict), key, "must be an object")
+    hints = typing.get_type_hints(cls)
+    known = {f.name: f for f in fields(cls)}
+    extra = set(raw) - set(known)
+    _require(not extra, key, f"unknown keys: {sorted(extra)}")
+    for name, f in known.items():
+        if name in raw:
+            _check_type(raw[name], hints[name], f"{key}.{name}")
+        else:
+            _require(f.default is not MISSING, f"{key}.{name}", "missing")
+    try:
+        return cls(**raw)
+    except ConfigError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def _resolve_path(base: Path, p: str) -> str:
     return str((base / p).resolve()) if not Path(p).is_absolute() else p
 
 
-def _parse_model(raw: dict, base: Path) -> ModelSection:
-    if not isinstance(raw, dict):
-        raise ConfigError("model: must be an object")
-    has_ckpt = "checkpoint" in raw and raw["checkpoint"] is not None
-    has_init = "init" in raw and raw["init"] is not None
+def _parse_model(raw, base: Path) -> ModelSection:
+    _require(isinstance(raw, dict), "model", "must be an object")
+    extra = set(raw) - {"checkpoint", "init"}
+    _require(not extra, "model", f"unknown keys: {sorted(extra)}")
+    has_ckpt = raw.get("checkpoint") is not None
+    has_init = raw.get("init") is not None
     _require(has_ckpt != has_init, "model", "exactly one of 'checkpoint' and 'init' must be present")
     if has_ckpt:
-        path = _resolve_path(base, str(raw["checkpoint"]))
+        _check_type(raw["checkpoint"], str, "model.checkpoint")
+        path = _resolve_path(base, raw["checkpoint"])
         if not Path(path).is_file():
             raise ConfigError(f"model.checkpoint: file not found: {path}")
         return ModelSection(checkpoint=path)
     init = raw["init"]
     _require(isinstance(init, dict), "model.init", "must be an object")
+    extra = set(init) - {"seed", "config"}
+    _require(not extra, "model.init", f"unknown keys: {sorted(extra)}")
     _require("seed" in init, "model.init.seed", "missing")
-    _require("config" in init and isinstance(init["config"], dict), "model.init.config", "missing")
-    try:
-        mc = ModelConfig.from_dict(init["config"])
-    except ConfigError as e:
-        raise ConfigError(f"model.init.config: {e}") from e
-    return ModelSection(init_seed=int(init["seed"]), init_config=mc)
+    _check_type(init["seed"], int, "model.init.seed")
+    _require("config" in init, "model.init.config", "missing")
+    mc = _section(ModelConfig, init["config"], "model.init.config")
+    return ModelSection(init_seed=init["seed"], init_config=mc)
 
 
-def _parse_decode(raw: dict) -> DecodeConfig:
-    if raw is None:
-        raw = {}
-    _require(isinstance(raw, dict), "decode", "must be an object")
-    try:
-        return DecodeConfig.from_dict(raw)
-    except ConfigError as e:
-        raise ConfigError(f"decode: {e}") from e
-    except TypeError as e:
-        raise ConfigError(f"decode: {e}") from e
-
-
-def _parse_spin(raw) -> SpinConfig | None:
-    if raw is None:
-        return None
+def _parse_spin(raw) -> SpinConfig:
     _require(isinstance(raw, dict), "spin", "must be an object")
+    hints = typing.get_type_hints(SpinConfig)
+    for name, value in raw.items():
+        if name == "layer_range":
+            _require(isinstance(value, list) and len(value) == 2, "spin.layer_range",
+                     f"expected [lo, hi], got {value!r}")
+            for v in value:
+                _check_type(v, int, "spin.layer_range")
+        elif name in hints:
+            _check_type(value, hints[name], f"spin.{name}")
     try:
         return SpinConfig.from_dict(raw)
     except ConfigError as e:
         raise ConfigError(f"spin: {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"spin: {e}") from e
 
 
-def _parse_eval(raw, base: Path) -> EvalSection | None:
-    if raw is None:
-        return None
-    _require(isinstance(raw, dict), "eval", "must be an object")
-    known = set(EvalSection.__dataclass_fields__)
-    extra = set(raw) - known
-    _require(not extra, "eval", f"unknown keys: {sorted(extra)}")
-    for req in ("corpus", "vocab", "tokens"):
-        _require(req in raw, f"eval.{req}", "missing")
-    d = dict(raw)
-    for req in ("corpus", "vocab", "tokens"):
-        d[req] = _resolve_path(base, str(d[req]))
-        if not Path(d[req]).is_file():
-            raise ConfigError(f"eval.{req}: file not found: {d[req]}")
-    section = EvalSection(**d)
-    _require(section.pope_mode in ("multi_turn", "single_turn"), "eval.pope_mode",
-             f"must be 'multi_turn' or 'single_turn', got {section.pope_mode!r}")
-    _require(section.workers >= 1, "eval.workers", "must be >= 1")
-    _require(section.pope_max_new_tokens >= 1, "eval.pope_max_new_tokens", "must be >= 1")
-    return section
+def _parse_eval(raw, base: Path) -> EvalSection:
+    ev = _section(EvalSection, raw, "eval")
+    paths = {n: _resolve_path(base, getattr(ev, n)) for n in ("corpus", "vocab", "tokens")}
+    for n, path in paths.items():
+        _require(Path(path).is_file(), f"eval.{n}", f"file not found: {path}")
+    return replace(ev, **paths)
 
 
 def _parse_output(raw, base: Path) -> OutputSection:
-    if raw is None:
-        return OutputSection()
-    _require(isinstance(raw, dict), "output", "must be an object")
-    known = set(OutputSection.__dataclass_fields__)
-    extra = set(raw) - known
-    _require(not extra, "output", f"unknown keys: {sorted(extra)}")
-    d = {k: (None if v is None else _resolve_path(base, str(v))) for k, v in raw.items()}
-    return OutputSection(**d)
+    out = _section(OutputSection, raw, "output")
+    return replace(out, **{n: _resolve_path(base, p) for n, p in asdict(out).items() if p is not None})
 
 
 def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> RunConfig:
@@ -216,29 +214,39 @@ def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> Run
     _require(not extra, "config", f"unknown sections: {sorted(extra)}")
     _require("model" in raw, "model", "section missing")
     base = Path(base_dir)
+    given = {k: v for k, v in raw.items() if v is not None}
     return RunConfig(
         model=_parse_model(raw["model"], base),
-        spin=_parse_spin(raw.get("spin")),
-        decode=_parse_decode(raw.get("decode")),
-        eval=_parse_eval(raw.get("eval"), base),
-        output=_parse_output(raw.get("output"), base),
+        spin=_parse_spin(given["spin"]) if "spin" in given else None,
+        decode=_section(DecodeConfig, given.get("decode", {}), "decode"),
+        eval=_parse_eval(given["eval"], base) if "eval" in given else None,
+        output=_parse_output(given.get("output", {}), base),
     )
+
+
+def _read_json(path: Path, what: str) -> dict:
+    """Parse a JSON file whose top level must be one object."""
+    if not path.is_file():
+        raise ConfigNotFoundError(f"{what} file not found: {path}")
+    text = path.read_text(encoding="utf-8")
+    try:
+        raw, end = json.JSONDecoder().raw_decode(text)
+    except json.JSONDecodeError as e:
+        raise ConfigSyntaxError(f"{path}:{e.lineno}: {e.msg}") from e
+    if text[end:].strip():
+        lineno = text[:end].count("\n") + 1
+        raise ConfigSyntaxError(f"{path}:{lineno}: trailing garbage after {what} object")
+    if not isinstance(raw, dict):
+        raise ConfigSyntaxError(f"{path}: top level must be a JSON object")
+    return raw
 
 
 def load_run_config(path: str | Path, environ=None) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigNotFoundError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    decoder = json.JSONDecoder()
-    try:
-        raw, end = decoder.raw_decode(text)
-    except json.JSONDecodeError as e:
-        raise ConfigSyntaxError(f"{path}:{e.lineno}: {e.msg}") from e
-    tail = text[end:]
-    if tail.strip():
-        lineno = text[:end].count("\n") + 1
-        raise ConfigSyntaxError(f"{path}:{lineno}: trailing garbage after config object")
-    if not isinstance(raw, dict):
-        raise ConfigSyntaxError(f"{path}: top level must be a JSON object")
-    return parse_run_config(raw, base_dir=path.parent, environ=environ)
+    return parse_run_config(_read_json(path, "config"), base_dir=path.parent, environ=environ)
+
+
+def load_spin_config(path: str | Path) -> SpinConfig:
+    """Read a spin file: a bare spin section or an object with a "spin" key."""
+    raw = _read_json(Path(path), "spin config")
+    return _parse_spin(raw.get("spin", raw))

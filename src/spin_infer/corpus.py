@@ -137,7 +137,6 @@ class SyntheticCorpusSpec:
     zipf_s: float = 1.1
     noise: float = 0.05
     seed: int = 0
-    co_occurrence: dict | None = None  # optional {object: {object: weight}}
 
     def __post_init__(self):
         if self.n_images < 1 or self.span_len < 1 or self.embed_dim < 1:
@@ -241,13 +240,6 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
             for b in objs:
                 if a != b:
                     cooc[a, b] += 1
-    if spec.co_occurrence:
-        cooc = np.zeros_like(cooc)
-        idx = {n: i for i, n in enumerate(names)}
-        for a, row in spec.co_occurrence.items():
-            for b, wgt in row.items():
-                if a in idx and b in idx:
-                    cooc[idx[a], idx[b]] = float(wgt)
 
     directions = np.stack([object_direction(spec.seed, n, spec.embed_dim) for n in names])
     instruction_ids = table.encode_text(INSTRUCTION_TEXT)

@@ -56,25 +56,6 @@ class DecodeConfig:
         if self.max_new_tokens < 1:
             raise ConfigError(f"decode.max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "beam_width": self.beam_width,
-            "nucleus_p": self.nucleus_p,
-            "repetition_penalty": self.repetition_penalty,
-            "max_new_tokens": self.max_new_tokens,
-            "eos_id": self.eos_id,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecodeConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"decode config has unknown keys: {sorted(extra)}")
-        return cls(**d)
-
 
 @dataclass
 class GenerationResult:

@@ -31,6 +31,7 @@ MaskPolicy = Callable[[int, np.ndarray, "KvCache", np.ndarray, "PromptLayout"], 
 AttnObserver = Callable[[int, np.ndarray, int], None]
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
+ROPE_BASE = 10000.0
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -167,21 +168,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 class Engine:
     """Inference over one immutable checkpoint; every stream owns its cache."""
 
-    def __init__(self, checkpoint: Checkpoint, rope_base: float = 10000.0):
+    def __init__(self, checkpoint: Checkpoint):
         self.checkpoint = checkpoint
         self.config = checkpoint.config
         dk = self.config.d_head
-        half = dk // 2
-        if half:
-            j = np.arange(half, dtype=np.float64)
-            self._inv_freq = (rope_base ** (-2.0 * j / dk)).astype(np.float32)
-        else:
-            self._inv_freq = np.zeros(0, dtype=np.float32)
+        j = np.arange(dk // 2, dtype=np.float64)
+        self._inv_freq = (ROPE_BASE ** (-2.0 * j / dk)).astype(np.float32)
         self._inv_sqrt_dk = np.float32(1.0 / math.sqrt(dk))
 
-    def new_cache(self, max_len: int | None = None) -> KvCache:
+    def new_cache(self) -> KvCache:
         c = self.config
-        return KvCache(c.n_layers, c.n_heads, c.d_head, max_len or c.max_seq_len)
+        return KvCache(c.n_layers, c.n_heads, c.d_head, c.max_seq_len)
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """cos/sin tables (T, 1, dk // 2) for rows at `positions`."""

@@ -55,7 +55,7 @@ class RecordOutcome:
     record_id: str
     caption_record: CaptionRecord | None = None
     caption_ids: list[int] = field(default_factory=list)
-    caption_length: int | None = None
+    caption_length: int = 0
     pope_items: list[PopeItem] = field(default_factory=list)
     pope_ids: list[list[int]] = field(default_factory=list)
     token_counts: list[int] = field(default_factory=list)
@@ -82,18 +82,16 @@ def _eval_record(
     out = RecordOutcome(record_id=record.record_id)
     base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
 
-    if ev.chair or ev.measure_throughput:
-        dcfg = _derive_decode(cfg.decode, derive_seed(cfg.decode.seed, record.record_id))
-        res = generate(engine, base_prompt, dcfg, policy, token_table=table)
-        out.caption_ids = res.token_ids
-        out.caption_length = len(res.token_ids) - (1 if res.ended_at_eos else 0)
-        out.token_counts.append(res.n_new_tokens)
-        out.decode_latencies.append(res.decode_latency)
-        out.prefill_latencies.append(res.prefill_latency)
-        if ev.chair:
-            out.caption_record = CaptionRecord(
-                record.record_id, res.text, frozenset(record.gt_objects)
-            )
+    # the caption is always generated: it feeds throughput even without CHAIR
+    dcfg = _derive_decode(cfg.decode, derive_seed(cfg.decode.seed, record.record_id))
+    res = generate(engine, base_prompt, dcfg, policy, token_table=table)
+    out.caption_ids = res.token_ids
+    out.caption_length = len(res.token_ids) - (1 if res.ended_at_eos else 0)
+    out.token_counts.append(res.n_new_tokens)
+    out.decode_latencies.append(res.decode_latency)
+    out.prefill_latencies.append(res.prefill_latency)
+    if ev.chair:
+        out.caption_record = CaptionRecord(record.record_id, res.text, frozenset(record.gt_objects))
 
     if ev.pope and record.pope:
         turns: list[tuple[list[int], list[int]]] = []
@@ -187,24 +185,16 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
     report_metrics.notes = list(REPORT_NOTES)
 
     if cfg.eval.chair:
-        caption_records = [o.caption_record for o in ordered if o.caption_record]
-        if caption_records:
-            report_metrics.chair = chair_scores(caption_records, vocab)
-        lengths = [o.caption_length for o in ordered if o.caption_length is not None]
-        if lengths:
-            report_metrics.mean_caption_length = sum(lengths) / len(lengths)
+        report_metrics.chair = chair_scores([o.caption_record for o in ordered], vocab)
+        report_metrics.mean_caption_length = sum(o.caption_length for o in ordered) / len(ordered)
     if cfg.eval.pope:
         items = [it for o in ordered for it in o.pope_items]
         if items:
             report_metrics.pope = pope_eval(items)
     tokens_total = sum(sum(o.token_counts) for o in ordered)
-    if cfg.eval.measure_throughput:
-        lats = [sum(o.decode_latencies) for o in ordered]
-        if cfg.eval.include_prefill:
-            lats = [l + sum(o.prefill_latencies) for l, o in zip(lats, ordered)]
-        report_metrics.throughput_tps = throughput(
-            [sum(o.token_counts) for o in ordered], lats
-        )
+    report_metrics.throughput_tps = throughput(
+        [sum(o.token_counts) for o in ordered], [sum(o.decode_latencies) for o in ordered]
+    )
 
     report = {
         "version": __version__,

@@ -172,7 +172,7 @@ class StubEngine:
         self.after = {k: np.asarray(v, dtype=np.float32) for k, v in (after or {}).items()}
         self.config = StubConfig(vocab_size=len(self.first))
 
-    def new_cache(self, max_len=None):
+    def new_cache(self):
         return StubCache()
 
     def prefill(self, prompt, cache, policy=None, return_all_logits=False):

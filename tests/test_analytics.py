@@ -208,6 +208,24 @@ class TestTuner:
         assert s3.selected.config.alpha == 0.0
         assert res.selected == s3.selected.config
 
+    def test_each_distinct_config_evaluated_once(self):
+        # stage 2's grid repeats stage 1's full range and stage 3's grid
+        # repeats stage 2's alpha 0.0, so those configs come from the memo
+        calls: dict = {}
+
+        def eval_fn(cfg):
+            calls[cfg] = calls.get(cfg, 0) + 1
+            return {"c_s": 0.1, "f1": 0.8}
+
+        res = tune_three_stage(
+            eval_fn, n_layers=2, r_grid=[0.25, 0.5], alpha_grid=[0.0, 0.0, 0.5],
+            layer_grids=[(1, 2), (2, 2), (1, 2)],
+        )
+        assert set(calls.values()) == {1}
+        evaluated = {e.config for s in res.stages for e in s.entries}
+        assert set(calls) == evaluated | {None}
+        assert len(calls) == 1 + 2 + 1 + 1  # baseline, two r, one new range, one new alpha
+
     def test_lambda_zero_selects_min_cs(self):
         table = {
             "baseline": {"c_s": 0.40, "f1": 0.80},

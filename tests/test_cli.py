@@ -120,6 +120,38 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"r": 0.5, "layer_range": [1, 2]}\ntrailing',
+            '[{"r": 0.5, "layer_range": [1, 2]}]',
+            '{"r": 0.5, "layer_range": [1, 2], "temperature": 1.0}',
+        ],
+        ids=["trailing_garbage", "non_object", "unknown_key"],
+    )
+    def test_bad_spin_file_exit_2(self, workspace, tmp_path, capsys, text):
+        spin_path = tmp_path / "spin.json"
+        spin_path.write_text(text)
+        code, _, err = run_cli(
+            capsys, "generate", "--ckpt", str(workspace.checkpoint),
+            "--prompt", str(workspace.corpus), "--spin", str(spin_path),
+        )
+        assert code == 2
+        assert "config error" in err
+
+    def test_bare_and_wrapped_spin_file_agree(self, workspace, tmp_path, capsys):
+        spin = {"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}
+        token_ids = []
+        for name, body in (("bare.json", spin), ("wrapped.json", {"spin": spin})):
+            (tmp_path / name).write_text(json.dumps(body))
+            code, stdout, _ = run_cli(
+                capsys, "generate", "--ckpt", str(workspace.checkpoint),
+                "--prompt", str(workspace.corpus), "--spin", str(tmp_path / name), "--max-new", "6",
+            )
+            assert code == 0
+            token_ids.append(json.loads(stdout)["token_ids"])
+        assert token_ids[0] == token_ids[1]
+
 
 class TestEval:
     def test_prints_metrics_and_writes_reports(self, workspace, tmp_path, capsys):
@@ -136,6 +168,13 @@ class TestEval:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "absent.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("max_records", [-1, 0])
+    def test_max_records_below_one_exit_2(self, workspace, tmp_path, capsys, max_records):
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"max_records": max_records})
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert "eval.max_records" in err
 
     def test_layer_range_beyond_model_exit_2_without_trace(self, workspace, tmp_path, capsys):
         trace_path = tmp_path / "masks.jsonl"

@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
 
 from spin_infer.config import load_run_config, parse_run_config
 from spin_infer.errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError
+
+
+DROP = object()  # marks a key to delete
 
 
 def minimal_raw(workspace):
@@ -78,6 +82,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"eval\.pope_mode"):
             parse_run_config(raw, environ={})
 
+    @pytest.mark.parametrize(
+        "dotted,value",
+        [
+            ("eval.workers", "two"),
+            ("eval.pope_max_new_tokens", "8"),
+            ("eval.max_records", "3"),
+            ("eval.max_records", 0),
+            ("eval.max_records", -1),
+            ("eval.chair", 1),
+            ("decode.max_new_tokens", 2.5),
+            ("decode.beam_width", "3"),
+            ("output.report_json", 5),
+            ("model.init.seed", "x"),
+            ("spin.r", False),
+            ("spin.layer_range", [1.5, 2]),
+            ("spin.layer_range", "1-2"),
+            ("eval.corpus", DROP),
+        ],
+    )
+    def test_bad_value_names_dotted_key(self, workspace, dotted, value):
+        raw = minimal_raw(workspace)
+        raw["model"] = {"init": {"seed": 1, "config": workspace.model_config.to_dict()}}
+        *parents, leaf = dotted.split(".")
+        node = raw
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        with pytest.raises(ConfigError, match=re.escape(dotted)):
+            parse_run_config(raw, environ={})
+
 
 class TestFileLoading:
     def test_missing_file(self, tmp_path):
@@ -144,3 +181,57 @@ class TestRoundtrip:
         cfg = parse_run_config(raw, environ={})
         again = parse_run_config(cfg.to_dict(), environ={})
         assert again == cfg
+
+    def test_golden_every_field_set(self, workspace, tmp_path):
+        # recorded from the per-section codecs before RunConfig.to_dict used
+        # dataclasses.asdict; every report embeds this dict
+        mc = workspace.model_config.to_dict()
+        raw = {
+            "model": {"init": {"seed": 9, "config": mc}},
+            "spin": {"strategy": "key_norm", "r": 0.5, "alpha": 0.25, "layer_range": [2, 2],
+                     "apply_to": "generated_text_queries_only"},
+            "decode": {"strategy": "nucleus", "beam_width": 3, "nucleus_p": 0.8,
+                       "repetition_penalty": 1.3, "max_new_tokens": 6, "eos_id": None, "seed": 11},
+            "eval": {"corpus": str(workspace.corpus), "vocab": str(workspace.vocab),
+                     "tokens": str(workspace.tokens), "chair": False, "pope": False,
+                     "pope_mode": "single_turn", "pope_max_new_tokens": 3, "workers": 2,
+                     "max_records": 4},
+            "output": {"report_json": "r.json", "report_csv": "r.csv", "trace_masks": "m.jsonl"},
+        }
+        cfg = parse_run_config(raw, base_dir=tmp_path, environ={})
+        assert cfg.to_dict() == {
+            "model": {"init": {"seed": 9, "config": mc}},
+            "spin": {
+                "strategy": "key_norm",
+                "r": 0.5,
+                "alpha": 0.25,
+                "layer_range": [2, 2],
+                "apply_to": "generated_text_queries_only",
+            },
+            "decode": {
+                "strategy": "nucleus",
+                "beam_width": 3,
+                "nucleus_p": 0.8,
+                "repetition_penalty": 1.3,
+                "max_new_tokens": 6,
+                "eos_id": None,
+                "seed": 11,
+            },
+            "eval": {
+                "corpus": str(workspace.corpus),
+                "vocab": str(workspace.vocab),
+                "tokens": str(workspace.tokens),
+                "chair": False,
+                "pope": False,
+                "pope_mode": "single_turn",
+                "pope_max_new_tokens": 3,
+                "workers": 2,
+                "max_records": 4,
+            },
+            "output": {
+                "report_json": str(tmp_path / "r.json"),
+                "report_csv": str(tmp_path / "r.csv"),
+                "trace_masks": str(tmp_path / "m.jsonl"),
+            },
+        }
+        assert parse_run_config(cfg.to_dict(), environ={}) == cfg
