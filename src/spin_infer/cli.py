@@ -19,7 +19,7 @@ from .decoding import DecodeConfig, generate
 from .engine import Engine, MultimodalPrompt
 from .errors import ConfigError, DataError, SpinInferError
 from .model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
-from .runner import build_engine, run_eval, spin_eval_fn
+from .runner import load_eval_inputs, run_eval, spin_eval_fn
 from .spin import MaskTraceWriter, SpinPolicy
 
 log = logging.getLogger("spin_infer")
@@ -106,14 +106,13 @@ def cmd_generate(args) -> int:
     trace = None
     if args.spin:
         spin_cfg = load_spin_config(args.spin)
+        mc = engine.config
+        # the policy validates the layer range before the trace file is created
+        policy = SpinPolicy(spin_cfg, mc.n_layers, mc.n_heads)
         if args.trace_masks:
-            trace = MaskTraceWriter(
-                open(args.trace_masks, "w", encoding="utf-8"),
-                engine.config.n_layers,
-                engine.config.n_heads,
-                spin_cfg,
+            trace = policy.trace = MaskTraceWriter(
+                open(args.trace_masks, "w", encoding="utf-8"), mc.n_layers, mc.n_heads, spin_cfg
             )
-        policy = SpinPolicy(spin_cfg, engine.config.n_layers, engine.config.n_heads, trace)
     try:
         result = generate(engine, prompt, decode, policy, token_table=table)
     finally:
@@ -140,12 +139,7 @@ def cmd_eval(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = load_run_config(args.config)
-    if cfg.eval is None:
-        raise ConfigError("eval: section missing (profile needs a corpus)")
-    engine = build_engine(cfg)
-    records = load_corpus(cfg.eval.corpus)
-    if args.samples is not None:
-        records = records[: args.samples]
+    engine, records, _, _ = load_eval_inputs(cfg, "profile")
     prompts = [MultimodalPrompt([], r.vision, r.prompt_ids) for r in records]
     policy = SpinPolicy(cfg.spin, engine.config.n_layers, engine.config.n_heads) if cfg.spin else None
     profile = profile_attention(engine, prompts, cfg.decode, policy)
@@ -190,12 +184,10 @@ def _parse_layer_grids(text: str | None, n_layers: int) -> list[tuple[int, int]]
 
 def cmd_tune(args) -> int:
     cfg = load_run_config(args.config)
-    if cfg.eval is None:
-        raise ConfigError("eval: section missing (tune needs a corpus)")
-    engine = build_engine(cfg)
-    n_layers = engine.config.n_layers
+    inputs = load_eval_inputs(cfg, "tune")
+    n_layers = inputs.engine.config.n_layers
     result = tune_three_stage(
-        spin_eval_fn(cfg),
+        spin_eval_fn(cfg, inputs),
         n_layers=n_layers,
         r_grid=_parse_grid(args.r_grid),
         alpha_grid=_parse_grid(args.alpha_grid),
@@ -260,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="per-layer vision/text attention profile")
     p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_profile)
 

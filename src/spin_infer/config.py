@@ -1,7 +1,8 @@
 """Run configuration: one JSON file, strict validation, env overrides.
 
 One reader, `_section`, builds the `decode`, `eval`, `output` and
-`model.init.config` sections: it rejects unknown keys and missing required
+`model.init.config` sections (and `load_checkpoint` reads a checkpoint
+header's model config with it): it rejects unknown keys and missing required
 fields, checks each value's JSON type against the dataclass annotation, and
 leaves range checks to the dataclass's `__post_init__`. Any key can be
 overridden with SPIN__SECTION__KEY environment variables (e.g.

@@ -284,7 +284,10 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
+    """Read a corpus JSONL file; record ids must be unique and `prompt_ids`
+    a list of JSON integers."""
     records: list[CorpusRecord] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -295,29 +298,27 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: bad corpus line: {e}") from e
             try:
-                vision = np.asarray(obj["vision_embeddings"], dtype=np.float32)
-                pope = [
-                    PopeItem(
-                        image_id=obj["id"],
-                        object_name=p["object"],
-                        split=p["split"],
-                        gold=p["gold"],
-                    )
-                    for p in obj.get("pope", [])
-                ]
-                records.append(
-                    CorpusRecord(
-                        record_id=str(obj["id"]),
-                        vision=vision,
-                        prompt_ids=[int(t) for t in obj["prompt_ids"]],
-                        gt_objects=[str(g) for g in obj["gt_objects"]],
-                        pope=pope,
-                    )
+                rec = CorpusRecord(
+                    record_id=str(obj["id"]),
+                    vision=np.asarray(obj["vision_embeddings"], dtype=np.float32),
+                    prompt_ids=obj["prompt_ids"],
+                    gt_objects=[str(g) for g in obj["gt_objects"]],
+                    pope=[
+                        PopeItem(image_id=obj["id"], object_name=p["object"], split=p["split"], gold=p["gold"])
+                        for p in obj.get("pope", [])
+                    ],
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
-            if vision.ndim != 2 or vision.shape[0] < 1:
+            ids = rec.prompt_ids
+            if not isinstance(ids, list) or any(type(t) is not int for t in ids):
+                raise DataError(f"{path}:{lineno}: prompt_ids must be a list of integers, got {ids!r}")
+            if rec.vision.ndim != 2 or rec.vision.shape[0] < 1:
                 raise DataError(f"{path}:{lineno}: vision_embeddings must be a non-empty 2-D array")
+            if rec.record_id in seen:
+                raise DataError(f"{path}:{lineno}: duplicate record id {rec.record_id!r}")
+            seen.add(rec.record_id)
+            records.append(rec)
     if not records:
         raise DataError(f"{path}: empty corpus")
     return records

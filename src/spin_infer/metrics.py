@@ -9,7 +9,7 @@ so results can be compared ratio-for-ratio against brute-force recounts.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import MultimodalPrompt
@@ -306,37 +306,3 @@ def build_multiturn_context(
     extra.extend(next_question)
     return base_prompt.extended(extra)
 
-
-def throughput(token_counts: list[int], latencies: list[float]) -> float | None:
-    """Pooled tokens per second; None when nothing was generated.
-
-    Callers choose what the latency samples cover (decode-only by default;
-    add prefill latencies to include prefill).
-    """
-    total_tokens = sum(token_counts)
-    total_latency = sum(latencies)
-    if total_tokens < 1 or total_latency <= 0.0:
-        return None
-    return total_tokens / total_latency
-
-
-@dataclass
-class EvalReport:
-    chair: ChairResult | None = None
-    pope: PopeReport | None = None
-    mean_caption_length: float | None = None
-    throughput_tps: float | None = None
-    n_records: int = 0
-    n_failed_records: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "chair": self.chair.to_dict() if self.chair else None,
-            "pope": self.pope.to_dict() if self.pope else None,
-            "mean_caption_length": self.mean_caption_length,
-            "throughput_tps": self.throughput_tps,
-            "n_records": self.n_records,
-            "n_failed_records": self.n_failed_records,
-            "notes": self.notes,
-        }

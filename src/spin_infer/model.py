@@ -53,17 +53,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"model config has unknown keys: {sorted(extra)}")
-        missing = known - set(d)
-        if missing:
-            raise ConfigError(f"model config missing keys: {sorted(missing)}")
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape table; defines both init order and file order."""
@@ -175,12 +164,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[8 : 8 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: bad checkpoint header: {e}") from e
+    from .config import _section  # function-level: config imports this module
+
     try:
-        config = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError) as e:
-        raise DataError(f"{path}: bad checkpoint config: {e}") from e
+        config = _section(ModelConfig, header.get("config") if isinstance(header, dict) else None, "config")
     except ConfigError as e:
-        raise DataError(f"{path}: bad checkpoint config: {e}") from e
+        raise DataError(f"{path}: bad checkpoint header: {e}") from e
 
     data = raw[8 + hlen :]
     expected = tensor_shapes(config)

@@ -13,23 +13,22 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig
 from .corpus import CorpusRecord, TokenTable, load_corpus
-from .decoding import DecodeConfig, generate
+from .decoding import GenerationResult, generate
 from .engine import Engine, MultimodalPrompt
 from .errors import ConfigError, ContextOverflowError, DataError, SpinInferError
 from .metrics import (
     CaptionRecord,
-    EvalReport,
     ObjectVocabulary,
     PopeItem,
     build_multiturn_context,
     chair_scores,
     pope_eval,
-    throughput,
 )
 from .model import init_checkpoint, load_checkpoint
 from .prng import derive_seed
@@ -50,88 +49,22 @@ def build_engine(cfg: RunConfig) -> Engine:
     return Engine(init_checkpoint(cfg.model.init_config, cfg.model.init_seed))
 
 
-@dataclass
-class RecordOutcome:
-    record_id: str
-    caption_record: CaptionRecord | None = None
-    caption_ids: list[int] = field(default_factory=list)
-    caption_length: int = 0
-    pope_items: list[PopeItem] = field(default_factory=list)
-    pope_ids: list[list[int]] = field(default_factory=list)
-    token_counts: list[int] = field(default_factory=list)
-    decode_latencies: list[float] = field(default_factory=list)
-    prefill_latencies: list[float] = field(default_factory=list)
-    pope_skipped: int = 0
+class EvalInputs(NamedTuple):
+    engine: Engine
+    records: list[CorpusRecord]
+    vocab: ObjectVocabulary
+    table: TokenTable
 
 
-def _derive_decode(base: DecodeConfig, seed: int, max_new: int | None = None) -> DecodeConfig:
-    kw = {"seed": seed}
-    if max_new is not None:
-        kw["max_new_tokens"] = max_new
-    return replace(base, **kw)
-
-
-def _eval_record(
-    engine: Engine,
-    record: CorpusRecord,
-    cfg: RunConfig,
-    table: TokenTable,
-    policy: SpinPolicy | None,
-) -> RecordOutcome:
-    ev = cfg.eval
-    out = RecordOutcome(record_id=record.record_id)
-    base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
-
-    # the caption is always generated: it feeds throughput even without CHAIR
-    dcfg = _derive_decode(cfg.decode, derive_seed(cfg.decode.seed, record.record_id))
-    res = generate(engine, base_prompt, dcfg, policy, token_table=table)
-    out.caption_ids = res.token_ids
-    out.caption_length = len(res.token_ids) - (1 if res.ended_at_eos else 0)
-    out.token_counts.append(res.n_new_tokens)
-    out.decode_latencies.append(res.decode_latency)
-    out.prefill_latencies.append(res.prefill_latency)
-    if ev.chair:
-        out.caption_record = CaptionRecord(record.record_id, res.text, frozenset(record.gt_objects))
-
-    if ev.pope and record.pope:
-        turns: list[tuple[list[int], list[int]]] = []
-        for j, item in enumerate(record.pope):
-            q_ids = table.encode_text(item.question())
-            prior = turns if ev.pope_mode == "multi_turn" else []
-            prompt_j = build_multiturn_context(base_prompt, prior, q_ids)
-            pcfg = _derive_decode(
-                cfg.decode,
-                derive_seed(cfg.decode.seed, record.record_id, "pope", j),
-                max_new=ev.pope_max_new_tokens,
-            )
-            try:
-                res = generate(engine, prompt_j, pcfg, policy, token_table=table)
-            except ContextOverflowError:
-                out.pope_skipped = len(record.pope) - j
-                log.warning(
-                    "record %s: context overflow at pope turn %d; skipping %d items",
-                    record.record_id, j + 1, out.pope_skipped,
-                )
-                break
-            out.pope_items.append(replace(item, answer=res.text))
-            out.pope_ids.append(res.token_ids)
-            out.token_counts.append(res.n_new_tokens)
-            out.decode_latencies.append(res.decode_latency)
-            out.prefill_latencies.append(res.prefill_latency)
-            answer_ids = [t for t in res.token_ids if t != table.eos_id]
-            turns.append((q_ids, answer_ids))
-    return out
-
-
-def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
-    """Execute the configured evaluation and return the report dict."""
+def load_eval_inputs(cfg: RunConfig, command: str) -> EvalInputs:
+    """What `eval`, `profile` and `tune` read before their first record: the
+    engine, the first `eval.max_records` corpus records, the object
+    vocabulary and the token table, checked against the model."""
     if cfg.eval is None:
-        raise ConfigError("eval: section missing (required by run_eval)")
+        raise ConfigError(f"eval: section missing (required by {command})")
     engine = build_engine(cfg)
     mc = engine.config
-    records = load_corpus(cfg.eval.corpus)
-    if cfg.eval.max_records is not None:
-        records = records[: cfg.eval.max_records]
+    records = load_corpus(cfg.eval.corpus)[: cfg.eval.max_records]
     vocab = ObjectVocabulary.from_tsv(cfg.eval.vocab)
     table = TokenTable.load(cfg.eval.tokens)
     if len(table) != mc.vocab_size:
@@ -143,6 +76,65 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
             raise DataError(
                 f"record {rec.record_id}: vision dim {rec.vision.shape[1]} != d_model {mc.d_model}"
             )
+    return EvalInputs(engine, records, vocab, table)
+
+
+def _eval_record(
+    engine: Engine,
+    record: CorpusRecord,
+    cfg: RunConfig,
+    table: TokenTable,
+    policy: SpinPolicy | None,
+) -> tuple[list[GenerationResult], CaptionRecord | None, list[PopeItem], int]:
+    """Caption, then one POPE answer per item. Returns every result (caption
+    first), the caption's CaptionRecord (None without CHAIR), the answered
+    POPE items and how many items a context overflow skipped."""
+    ev = cfg.eval
+    base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
+
+    # the caption is always generated: it feeds throughput even without CHAIR
+    dcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, record.record_id))
+    caption = generate(engine, base_prompt, dcfg, policy, token_table=table)
+    results = [caption]
+    caption_record = (
+        CaptionRecord(record.record_id, caption.text, frozenset(record.gt_objects)) if ev.chair else None
+    )
+
+    answered: list[PopeItem] = []
+    skipped = 0
+    turns: list[tuple[list[int], list[int]]] = []
+    for j, item in enumerate(record.pope if ev.pope else []):
+        q_ids = table.encode_text(item.question())
+        prior = turns if ev.pope_mode == "multi_turn" else []
+        prompt_j = build_multiturn_context(base_prompt, prior, q_ids)
+        pcfg = replace(
+            cfg.decode,
+            seed=derive_seed(cfg.decode.seed, record.record_id, "pope", j),
+            max_new_tokens=ev.pope_max_new_tokens,
+        )
+        try:
+            res = generate(engine, prompt_j, pcfg, policy, token_table=table)
+        except ContextOverflowError:
+            skipped = len(record.pope) - j
+            log.warning(
+                "record %s: context overflow at pope turn %d; skipping %d items",
+                record.record_id, j + 1, skipped,
+            )
+            break
+        results.append(res)
+        answered.append(replace(item, answer=res.text))
+        turns.append((q_ids, [t for t in res.token_ids if t != table.eos_id]))
+    return results, caption_record, answered, skipped
+
+
+def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | None = None) -> dict:
+    """Execute the configured evaluation and return the report dict.
+
+    `inputs` from `load_eval_inputs(cfg, ...)` saves reading them again.
+    """
+    engine, records, vocab, table = load_eval_inputs(cfg, "eval") if inputs is None else inputs
+    mc = engine.config
+    ev = cfg.eval
 
     # the policy validates the layer range before the trace file is created
     policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads) if cfg.spin else None
@@ -153,8 +145,6 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
         )
 
     t_start = time.perf_counter()
-    outcomes: dict[str, RecordOutcome] = {}
-    failures: dict[str, str] = {}
 
     def task(record: CorpusRecord):
         try:
@@ -163,53 +153,51 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True) -> dict:
             return record.record_id, None, f"{type(e).__name__}: {e}"
 
     try:
-        if cfg.eval.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.eval.workers) as pool:
-                results = list(pool.map(task, records))
+        if ev.workers > 1:
+            with ThreadPoolExecutor(max_workers=ev.workers) as pool:
+                outcomes = list(pool.map(task, records))
         else:
-            results = [task(r) for r in records]
+            outcomes = [task(r) for r in records]
     finally:
         if trace is not None:
             trace.close()
-    for rid, outcome, err in results:
-        if err is None:
-            outcomes[rid] = outcome
-        else:
-            failures[rid] = err
-            log.error("record %s failed: %s", rid, err)
-    if not outcomes:
+    failures = {rid: err for rid, _, err in outcomes if err is not None}
+    for rid, err in failures.items():
+        log.error("record %s failed: %s", rid, err)
+    done = {rid: out for rid, out, err in outcomes if err is None}
+    if not done:
         raise DataError(f"all {len(records)} records failed; first error: {next(iter(failures.values()))}")
 
-    ordered = [outcomes[r.record_id] for r in records if r.record_id in outcomes]
-    report_metrics = EvalReport(n_records=len(ordered), n_failed_records=len(failures))
-    report_metrics.notes = list(REPORT_NOTES)
-
-    if cfg.eval.chair:
-        report_metrics.chair = chair_scores([o.caption_record for o in ordered], vocab)
-        report_metrics.mean_caption_length = sum(o.caption_length for o in ordered) / len(ordered)
-    if cfg.eval.pope:
-        items = [it for o in ordered for it in o.pope_items]
-        if items:
-            report_metrics.pope = pope_eval(items)
-    tokens_total = sum(sum(o.token_counts) for o in ordered)
-    report_metrics.throughput_tps = throughput(
-        [sum(o.token_counts) for o in ordered], [sum(o.decode_latencies) for o in ordered]
-    )
-
+    res_lists, caption_records, answered, skipped = zip(*done.values())
+    results = [r for rs in res_lists for r in rs]
+    items = [it for its in answered for it in its]
+    decode_s = sum(r.decode_latency for r in results)
+    tokens = sum(r.n_new_tokens for r in results)
+    caption_length = sum(len(rs[0].token_ids) - rs[0].ended_at_eos for rs in res_lists)
+    metrics = {
+        "chair": chair_scores(list(caption_records), vocab).to_dict() if ev.chair else None,
+        "pope": pope_eval(items).to_dict() if ev.pope and items else None,
+        "mean_caption_length": caption_length / len(done) if ev.chair else None,
+        "throughput_tps": tokens / decode_s,
+        "n_records": len(done),
+        "n_failed_records": len(failures),
+        "notes": list(REPORT_NOTES),
+    }
     report = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "metrics": report_metrics.to_dict(),
+        "metrics": metrics,
         "generations": {
-            o.record_id: {"caption": o.caption_ids, "pope": o.pope_ids} for o in ordered
+            rid: {"caption": rs[0].token_ids, "pope": [r.token_ids for r in rs[1:]]}
+            for rid, rs in zip(done, res_lists)
         },
         "failures": failures,
-        "pope_skipped": sum(o.pope_skipped for o in ordered),
+        "pope_skipped": sum(skipped),
         "timing": {
             "wall_s": time.perf_counter() - t_start,
-            "decode_s": sum(sum(o.decode_latencies) for o in ordered),
-            "prefill_s": sum(sum(o.prefill_latencies) for o in ordered),
-            "generated_tokens": tokens_total,
+            "decode_s": decode_s,
+            "prefill_s": sum(r.prefill_latency for r in results),
+            "generated_tokens": tokens,
         },
     }
     if write_outputs:
@@ -246,12 +234,13 @@ def write_report_csv(report: dict, path: str) -> None:
         w.writerows(rows)
 
 
-def spin_eval_fn(cfg: RunConfig):
-    """eval_fn for the tuner: evaluate one SPIN candidate over cfg's corpus."""
+def spin_eval_fn(cfg: RunConfig, inputs: EvalInputs):
+    """eval_fn for the tuner: evaluate one SPIN candidate over `inputs`, the
+    corpus `load_eval_inputs(cfg, ...)` read once."""
 
     def eval_fn(spin: SpinConfig | None):
         candidate = replace(cfg, spin=spin, output=type(cfg.output)())
-        report = run_eval(candidate, write_outputs=False)
+        report = run_eval(candidate, write_outputs=False, inputs=inputs)
         chair = report["metrics"]["chair"]
         if chair is None:
             raise ConfigError("tune requires eval.chair metrics to be enabled")

@@ -105,6 +105,19 @@ class TestGenerate:
         hm = aggregate_masks([trace_path])
         assert hm.steps_per_layer.max() > 0
 
+    def test_layer_range_beyond_model_exit_2_without_trace(self, workspace, tmp_path, capsys):
+        spin_path = tmp_path / "spin.json"
+        spin_path.write_text(json.dumps({"r": 0.5, "layer_range": [1, workspace.model_config.n_layers + 1]}))
+        trace_path = tmp_path / "masks.jsonl"
+        code, _, err = run_cli(
+            capsys, "generate", "--ckpt", str(workspace.checkpoint),
+            "--prompt", str(workspace.corpus), "--spin", str(spin_path),
+            "--trace-masks", str(trace_path),
+        )
+        assert code == 2
+        assert "exceeds n_layers" in err
+        assert not trace_path.exists()
+
     def test_missing_record_exit_3(self, workspace, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--ckpt", str(workspace.checkpoint),
@@ -188,6 +201,15 @@ class TestEval:
         assert "exceeds n_layers" in err
         assert not trace_path.exists()
 
+    def test_duplicate_record_id_exit_3(self, workspace, tmp_path, capsys):
+        lines = workspace.corpus.read_text().splitlines()
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join([lines[0], lines[0], lines[2]]) + "\n")
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"corpus": str(dup)})
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert code == 3
+        assert "dup.jsonl:2: duplicate record id 'img0000'" in err
+
     def test_corrupt_corpus_exit_3(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("garbage\n")
@@ -201,16 +223,41 @@ class TestProfileHeatmapTune:
         cfg = workspace.run_config(
             tmp_path / "run.json",
             decode={"strategy": "greedy", "max_new_tokens": 4, "eos_id": None, "seed": 5},
+            eval={"max_records": 2},
         )
         code, _, _ = run_cli(
-            capsys, "profile", "--config", str(cfg), "--samples", "2",
-            "--out-prefix", str(tmp_path / "prof"),
+            capsys, "profile", "--config", str(cfg), "--out-prefix", str(tmp_path / "prof"),
         )
         assert code == 0
         rows = (tmp_path / "prof.csv").read_text().strip().splitlines()
         assert rows[0] == "layer,vision_fraction,text_fraction"
         data = json.loads((tmp_path / "prof.json").read_text())
         assert len(data["vision"]) == 2
+
+    def test_profile_max_records_takes_first_records(self, workspace, tmp_path, capsys):
+        from spin_infer.analytics import profile_attention
+        from spin_infer.corpus import load_corpus
+        from spin_infer.decoding import DecodeConfig
+        from spin_infer.engine import Engine, MultimodalPrompt
+        from spin_infer.model import load_checkpoint
+
+        decode = {"strategy": "greedy", "max_new_tokens": 4, "eos_id": None, "seed": 5}
+        cfg = workspace.run_config(tmp_path / "run.json", decode=decode, eval={"max_records": 2})
+        code, _, _ = run_cli(capsys, "profile", "--config", str(cfg), "--out-prefix", str(tmp_path / "prof"))
+        assert code == 0
+        prompts = [MultimodalPrompt([], r.vision, r.prompt_ids) for r in load_corpus(workspace.corpus)[:2]]
+        want = profile_attention(Engine(load_checkpoint(workspace.checkpoint)), prompts, DecodeConfig(**decode))
+        assert json.loads((tmp_path / "prof.json").read_text()) == json.loads(json.dumps(want.to_dict()))
+
+    def test_profile_token_table_size_mismatch_exit_2(self, workspace, tmp_path, capsys):
+        tokens = json.loads(workspace.tokens.read_text())
+        short = tmp_path / "tokens.json"
+        short.write_text(json.dumps({**tokens, "tokens": tokens["tokens"][:-1]}))
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"tokens": str(short)})
+        code, _, err = run_cli(capsys, "profile", "--config", str(cfg), "--out-prefix", str(tmp_path / "prof"))
+        assert code == 2
+        assert "vocab_size" in err
+        assert not (tmp_path / "prof.json").exists()
 
     def test_heatmap_command(self, workspace, tmp_path, capsys):
         spin_path = tmp_path / "spin.json"

@@ -160,3 +160,26 @@ class TestLoader:
         p.write_text("\n")
         with pytest.raises(DataError):
             load_corpus(p)
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "3", True, None, [1]],
+                             ids=["float", "integral_float", "string", "bool", "null", "list"])
+    def test_non_integer_prompt_id_rejected(self, tmp_path, bad):
+        p = tmp_path / "corpus.jsonl"
+        good = {"id": "a", "vision_embeddings": [[0.0]], "prompt_ids": [1], "gt_objects": ["dog"]}
+        p.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", "prompt_ids": [1, bad]}) + "\n")
+        with pytest.raises(DataError, match=":2: prompt_ids must be a list of integers"):
+            load_corpus(p)
+
+    def test_prompt_ids_not_a_list_rejected(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        record = {"id": "a", "vision_embeddings": [[0.0]], "prompt_ids": "12", "gt_objects": ["dog"]}
+        p.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=":1: prompt_ids"):
+            load_corpus(p)
+
+    def test_duplicate_record_id_rejected(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        record = {"id": "a", "vision_embeddings": [[0.0]], "prompt_ids": [1], "gt_objects": ["dog"]}
+        p.write_text("\n".join(json.dumps({**record, "id": i}) for i in ("a", "b", "a")) + "\n")
+        with pytest.raises(DataError, match=":3: duplicate record id 'a'"):
+            load_corpus(p)

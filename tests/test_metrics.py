@@ -17,7 +17,6 @@ from spin_infer.metrics import (
     f1_score,
     parse_pope_answer,
     pope_eval,
-    throughput,
 )
 from spin_infer.prng import SplitMix64
 
@@ -270,14 +269,3 @@ class TestMultiturn:
             prev_len = len(ctx)
             turns.append(([5], [6, 7]))
 
-
-class TestThroughput:
-    def test_simple(self):
-        assert throughput([100], [2.0]) == pytest.approx(50.0)
-
-    def test_pooled(self):
-        assert throughput([100, 50], [2.0, 1.0]) == pytest.approx(50.0)
-
-    def test_zero_tokens_absent(self):
-        assert throughput([], []) is None
-        assert throughput([0], [1.0]) is None

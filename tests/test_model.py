@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,11 +31,26 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_config(**kw)
 
-    def test_from_dict_rejects_unknown_and_missing(self):
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({**tiny_config().to_dict(), "bogus": 1})
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({"n_layers": 2})
+    def test_from_dict_rejects_unknown_and_missing(self, tmp_path):
+        """The checkpoint header's config is read strictly: unknown, missing,
+        string and float fields are data errors naming the key."""
+        path = tmp_path / "m.spnm"
+        save_checkpoint(init_checkpoint(tiny_config(), 0), path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        good = header["config"]
+        cases = [
+            ({**good, "bogus": 1}, "unknown keys"),
+            ({k: v for k, v in good.items() if k != "max_seq_len"}, "config.max_seq_len: missing"),
+            ({**good, "n_layers": str(good["n_layers"])}, "config.n_layers: expected int"),
+            ({**good, "d_model": good["d_model"] + 0.9}, "config.d_model: expected int"),
+        ]
+        for config, message in cases:
+            blob = json.dumps({**header, "config": config}).encode()
+            path.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(path)
 
 
 class TestInitCheckpoint:
@@ -101,8 +118,6 @@ class TestCheckpointFile:
         raw = path.read_bytes()
         assert raw[:4] == b"SPNM"
         hlen = int.from_bytes(raw[4:8], "little")
-        import json
-
         header = json.loads(raw[8 : 8 + hlen])
         assert list(e["name"] for e in header["tensors"]) == list(tensor_shapes(ck.config))
 

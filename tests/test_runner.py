@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from spin_infer.config import load_run_config
 from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
-from spin_infer.runner import run_eval, spin_eval_fn
+from spin_infer.runner import load_eval_inputs, run_eval, spin_eval_fn
 
 
 def strip_timing(report: dict) -> dict:
@@ -14,6 +15,25 @@ def strip_timing(report: dict) -> dict:
     out.pop("timing")
     out["metrics"].pop("throughput_tps")
     return out
+
+
+def report_digest(report: dict) -> str:
+    """sha256 of the report less its timing, throughput and config."""
+    out = strip_timing(report)
+    out.pop("config")
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def small_checkpoint(workspace, path):
+    """A model too small for multi-turn POPE contexts."""
+    from spin_infer.corpus import TokenTable
+    from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
+
+    table = TokenTable.load(workspace.tokens)
+    small = ModelConfig(n_layers=1, n_heads=2, d_model=24, d_ffn=16,
+                        vocab_size=len(table), max_seq_len=40)
+    save_checkpoint(init_checkpoint(small, 0), path)
+    return path
 
 
 class TestRunEval:
@@ -180,6 +200,14 @@ class TestRunEval:
             assert rm["generations"][rid]["pope"][0] == rs["generations"][rid]["pope"][0]
         assert rm["generations"] != rs["generations"]
 
+    def test_throughput_pools_every_generation(self, workspace, tmp_path):
+        cfg_path = workspace.run_config(tmp_path / "run.json", eval={"max_records": 3})
+        report = run_eval(load_run_config(cfg_path, environ={}), write_outputs=False)
+        timing = report["timing"]
+        n_ids = sum(len(g["caption"]) + sum(map(len, g["pope"])) for g in report["generations"].values())
+        assert timing["generated_tokens"] == n_ids
+        assert report["metrics"]["throughput_tps"] == timing["generated_tokens"] / timing["decode_s"]
+
     def test_max_records_limits(self, workspace, tmp_path):
         cfg_path = workspace.run_config(tmp_path / "run.json", eval={"max_records": 2})
         report = run_eval(load_run_config(cfg_path, environ={}), write_outputs=False)
@@ -187,14 +215,7 @@ class TestRunEval:
 
     def test_pope_overflow_skips_rest_of_image(self, workspace, tmp_path):
         # a model too small for multi-turn contexts: overflow, records still succeed
-        from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
-        from spin_infer.corpus import TokenTable
-
-        table = TokenTable.load(workspace.tokens)
-        small = ModelConfig(n_layers=1, n_heads=2, d_model=24, d_ffn=16,
-                            vocab_size=len(table), max_seq_len=40)
-        ckpt = tmp_path / "small.spnm"
-        save_checkpoint(init_checkpoint(small, 0), ckpt)
+        ckpt = small_checkpoint(workspace, tmp_path / "small.spnm")
         cfg_path = workspace.run_config(
             tmp_path / "run.json",
             model={"checkpoint": str(ckpt)},
@@ -203,6 +224,30 @@ class TestRunEval:
         report = run_eval(load_run_config(cfg_path, environ={}), write_outputs=False)
         assert report["pope_skipped"] > 0
         assert report["metrics"]["n_records"] == 6
+
+
+class TestGoldenReport:
+    """Reports recorded before the runner kept `generate`'s results directly;
+    everything but timing must stay byte-identical."""
+
+    CASES = {
+        "default": ({}, "fc7597dbfb98df08"),
+        "spin": ({"spin": {"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}}, "712cae6d3b4b60bc"),
+        "single_turn_workers_3": ({"eval": {"pope_mode": "single_turn", "workers": 3}}, "f524f5ce8a49ac8d"),
+        "no_chair": ({"eval": {"chair": False}}, "a1e882ff0d43fd51"),
+        "no_pope": ({"eval": {"pope": False}}, "056cdc879660400c"),
+        "pope_overflow": ({"decode": {"max_new_tokens": 4}}, "53b08163b8af2c61"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_report_unchanged(self, workspace, tmp_path, case):
+        overrides, digest = self.CASES[case]
+        if case == "pope_overflow":
+            ckpt = small_checkpoint(workspace, tmp_path / "small.spnm")
+            overrides = {**overrides, "model": {"checkpoint": str(ckpt)}}
+        cfg = load_run_config(workspace.run_config(tmp_path / "run.json", **overrides), environ={})
+        report = run_eval(cfg, write_outputs=False)
+        assert report_digest(report) == digest
 
 
 class TestTunerIntegration:
@@ -216,7 +261,7 @@ class TestTunerIntegration:
         )
         cfg = load_run_config(cfg_path, environ={})
         result = tune_three_stage(
-            spin_eval_fn(cfg),
+            spin_eval_fn(cfg, load_eval_inputs(cfg, "tune")),
             n_layers=2,
             r_grid=[0.25],
             alpha_grid=[0.0, 0.5],
