@@ -121,8 +121,11 @@ class TokenTable:
         try:
             with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-            return cls(d["tokens"], int(d.get("eos_id", 0)))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            eos_id = d.get("eos_id", 0)
+            if type(eos_id) is not int:
+                raise DataError(f"{path}: bad token table: eos_id must be a JSON integer, got {eos_id!r}")
+            return cls(d["tokens"], eos_id)
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
             raise DataError(f"{path}: bad token table: {e}") from e
 
 

@@ -7,13 +7,14 @@ token from the seeded splitmix64 stream (so sequences are reproducible),
 and beam takes each hypothesis' top `beam_width` tokens by log-probability.
 Every eos child finishes; at most `width` other children stay live (width
 is 1 for greedy and nucleus). At max_new_tokens the live children finish
-without a step, and a child whose step would overflow the context finishes
-and sets `truncated`. The result is the finished sequence with the best
-length-normalized score, earliest first on ties.
+without a step. Live hypotheses all have the same length, so a step that
+would overflow the context finishes all of them and sets `truncated`. The
+result is the finished sequence with the best length-normalized score,
+earliest first on ties.
 
-A hypothesis hands its KV cache to its last kept child; every earlier
-child steps a fork taken before that. Greedy and nucleus therefore never
-fork, and beam search forks only where a parent keeps several children.
+Live hypothesis i is stream i of one KV cache of `width` streams: each
+step `KvCache.select`s the kept children's parents, then runs one batched
+`Engine.step` over all live hypotheses.
 
 The repetition penalty applies to generated tokens only (never to prompt
 tokens) with the sign-dependent divide/multiply convention. Non-finite
@@ -132,12 +133,12 @@ def generate(
     width = config.beam_width if beam else 1
     rng = SplitMix64(config.seed)
     layout = prompt.layout()
-    cache = engine.new_cache()
+    cache = engine.new_cache(width)
     t0 = time.perf_counter()
-    logits = _finite(engine.prefill(prompt, cache, policy), len(prompt) - 1)
+    logits = _finite(engine.prefill(prompt, cache, policy), len(prompt) - 1)[None]
     prefill_s = time.perf_counter() - t0
 
-    live = [([], 0.0, cache, logits)]  # (tokens, score, cache, next-token logits)
+    live: list[tuple[float, int, list[int]]] = [(0.0, 0, [])]  # (score, parent, tokens) of stream i
     finished: list[tuple[float, int, list[int], bool]] = []  # (norm_score, order, tokens, at_eos)
     step_scores: list[list[float]] = []
     lat: list[float] = []
@@ -147,8 +148,8 @@ def generate(
     for step in range(1, config.max_new_tokens + 1):
         t_step = time.perf_counter()
         children: list[tuple[float, int, int]] = []  # (score, parent index, token)
-        for i, (tokens, score, _, z) in enumerate(live):
-            z = apply_repetition_penalty(z, tokens, config.repetition_penalty)
+        for i, (score, _, tokens) in enumerate(live):
+            z = apply_repetition_penalty(logits[i], tokens, config.repetition_penalty)
             if beam:
                 logp = _log_softmax64(z)
                 top = np.argsort(-logp, kind="stable")[:width]
@@ -161,7 +162,7 @@ def generate(
 
         kept: list[tuple[float, int, list[int]]] = []
         for score, i, tok in children:
-            seq = live[i][0] + [tok]
+            seq = live[i][2] + [tok]
             if tok == config.eos_id:
                 finished.append((score / len(seq), len(finished), seq, True))
             elif len(kept) < width:
@@ -169,22 +170,18 @@ def generate(
         if beam:
             step_scores.append([score for score, _, _ in kept])
 
-        last_child = {i: n for n, (_, i, _) in enumerate(kept)}
-        new_live = []
-        for n, (score, i, seq) in enumerate(kept):
-            if step == config.max_new_tokens:
-                finished.append((score / len(seq), len(finished), seq, False))
-                continue
-            parent = live[i][2]
-            child = parent if last_child[i] == n else parent.fork()
+        live = kept
+        if live and step < config.max_new_tokens:
+            cache.select([i for _, i, _ in live])
             try:
-                z = engine.step(seq[-1], child, layout, policy, observer)
+                z = engine.step([seq[-1] for _, _, seq in live], cache, layout, policy, observer)
+                logits = _finite(z, layout.prompt_len + step - 1)
             except ContextOverflowError:
-                finished.append((score / len(seq), len(finished), seq, False))
                 truncated = True
-                continue
-            new_live.append((seq, score, child, _finite(z, layout.prompt_len + len(seq) - 1)))
-        live = new_live
+        if truncated or step == config.max_new_tokens:
+            for score, _, seq in live:
+                finished.append((score / len(seq), len(finished), seq, False))
+            live = []
         lat.append(time.perf_counter() - t_step)
         if not live:
             break

@@ -4,14 +4,15 @@ Architecture: pre-norm residual blocks, RMSNorm, rotary position embedding
 on q/k, GELU (tanh approximation) FFN, no biases. Everything runs in
 float32 so runs are reproducible bit-for-bit.
 
-`prefill` (a whole prompt) and `step` (one token) share one forward over
-T input rows. The attention layer accepts an optional *mask policy*: a
-callable invoked once per layer per forward with the post-rotation query
-vectors, the stream's cache, the query positions and the prompt layout. It
-returns one multiplier per head and query row (or None for all-ones); the
-multipliers scale each head's attention output before the output
-projection. Only `step` takes an attention *observer*, so it fires on
-decode steps only.
+`prefill` (a prompt, one stream) and `step` (one token in each of B
+streams) share one forward over B streams x T rows, with one matmul per
+weight over all rows and per-stream attention. The attention layer accepts
+an optional *mask policy*: a callable invoked once per layer per forward
+with the post-rotation query vectors, the cache, the query positions and
+the prompt layout. It returns one multiplier per head and query row (or
+None for all-ones); the multipliers scale each head's attention output
+before the output projection. Only `step` takes an attention *observer*,
+so it fires on decode steps only, once per stream.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 from .errors import ConfigError, ContextOverflowError, DataError
 from .model import Checkpoint
 
-# policy(layer_index, q_rot (T,H,dk), cache, positions (T,), layout) -> (T,H) or None
+# policy(layer_index, q_rot (B*T,H,dk), cache, positions (T,), layout) -> (B*T,H) or None;
+# query rows are stream-major: row b*T + t is stream b at positions[t]
 MaskPolicy = Callable[[int, np.ndarray, "KvCache", np.ndarray, "PromptLayout"], Optional[np.ndarray]]
-# observer(layer_index, attn_weights (H,S), position) -- decode steps only
+# observer(layer_index, attn_weights (H,S), position) -- decode steps only, once per stream
 AttnObserver = Callable[[int, np.ndarray, int], None]
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -50,10 +52,6 @@ class PromptLayout:
     i_start: int
     i_end: int
     prompt_len: int
-
-    @property
-    def n_vision(self) -> int:
-        return self.i_end - self.i_start
 
 
 class MultimodalPrompt:
@@ -95,17 +93,19 @@ class MultimodalPrompt:
 
 
 class KvCache:
-    """Per-layer, per-head key/value rows, preallocated to max_len.
-
-    One cache belongs to exactly one generation stream; `fork` gives an
-    independent copy for beam branching.
+    """Key/value rows (n_layers, n_streams, n_heads, max_len, d_head) of the
+    generation streams of one request, preallocated to max_len. All streams
+    share one length; a forward over B streams writes streams [0, B).
+    `select` is the one way to branch; rows below `shared` are the same in
+    every stream and are never copied.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int):
+    def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int, n_streams: int = 1):
         self.max_len = max_len
-        self.k = np.zeros((n_layers, n_heads, max_len, d_head), dtype=np.float32)
-        self.v = np.zeros((n_layers, n_heads, max_len, d_head), dtype=np.float32)
+        self.k = np.zeros((n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
+        self.v = np.zeros((n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
         self._len = np.zeros(n_layers, dtype=np.int64)
+        self.shared = 0
         self._memo: dict = {}
 
     @property
@@ -113,50 +113,54 @@ class KvCache:
         """Number of fully processed tokens (min across layers mid-step)."""
         return int(self._len.min())
 
-    @property
-    def layer_lengths(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._len)
-
     def extend(self, layer: int, ks: np.ndarray, vs: np.ndarray) -> None:
-        """Append a batch of rows; ks/vs are (T, H, d_head)."""
+        """Append rows for streams [0, B); ks/vs are (B, T, H, d_head)."""
         t = int(self._len[layer])
-        n = ks.shape[0]
+        b, n = ks.shape[:2]
         if t + n > self.max_len:
             raise ContextOverflowError(f"kv cache overflow: {t}+{n} > {self.max_len}")
-        self.k[layer, :, t : t + n] = ks.transpose(1, 0, 2)
-        self.v[layer, :, t : t + n] = vs.transpose(1, 0, 2)
+        self.k[layer, :b, :, t : t + n] = ks.transpose(0, 2, 1, 3)
+        self.v[layer, :b, :, t : t + n] = vs.transpose(0, 2, 1, 3)
         self._len[layer] += n
 
-    def keys(self, layer: int) -> np.ndarray:
-        return self.k[layer, :, : self._len[layer]]
+    def keys(self, layer: int, n_streams: int = 1) -> np.ndarray:
+        """Cached keys (n_streams, H, S, d_head) of streams [0, n_streams)."""
+        return self.k[layer, :n_streams, :, : self._len[layer]]
 
-    def values(self, layer: int) -> np.ndarray:
-        return self.v[layer, :, : self._len[layer]]
+    def values(self, layer: int, n_streams: int = 1) -> np.ndarray:
+        return self.v[layer, :n_streams, :, : self._len[layer]]
+
+    def select(self, parents: list[int]) -> None:
+        """Stream s takes stream parents[s]'s rows from `shared` on. When all
+        parents are one stream, every stream becomes a copy of it and all rows
+        are shared, so the first select after prefill broadcasts the prompt
+        once and later ones copy generated rows only."""
+        lo, hi = self.shared, self.length
+        if len(set(parents)) == 1:
+            parents = parents[:1] * self.k.shape[1]
+            self.shared = hi
+        moved = [s for s, p in enumerate(parents) if p != s]
+        if moved:
+            for a in (self.k, self.v):
+                a[:, moved, :, lo:hi] = a[:, [parents[s] for s in moved], :, lo:hi]
 
     def key_span_sum(self, layer: int, lo: int, hi: int) -> np.ndarray:
         """Per-head sum of key rows [lo, hi), memoized.
 
         Cached rows are append-only, so once the span is fully present its
         sum never changes; this keeps per-step span scoring O(H*d_head).
+        It is taken from stream 0 and holds for every stream because the
+        span lies in the prompt, which every stream shares.
         """
         memo_key = (layer, lo, hi)
         hit = self._memo.get(memo_key)
         if hit is None:
             if self._len[layer] < hi:
                 raise ContextOverflowError(f"span [{lo}, {hi}) not yet cached at layer {layer}")
-            hit = self.k[layer, :, lo:hi].sum(axis=1)
+            hit = self.k[layer, 0, :, lo:hi].sum(axis=1)
             hit.setflags(write=False)
             self._memo[memo_key] = hit
         return hit
-
-    def fork(self) -> "KvCache":
-        c = object.__new__(KvCache)
-        c.max_len = self.max_len
-        c.k = self.k.copy()
-        c.v = self.v.copy()
-        c._len = self._len.copy()
-        c._memo = dict(self._memo)
-        return c
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -166,7 +170,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Engine:
-    """Inference over one immutable checkpoint; every stream owns its cache."""
+    """Inference over one immutable checkpoint; every request owns its cache."""
 
     def __init__(self, checkpoint: Checkpoint):
         self.checkpoint = checkpoint
@@ -176,9 +180,9 @@ class Engine:
         self._inv_freq = (ROPE_BASE ** (-2.0 * j / dk)).astype(np.float32)
         self._inv_sqrt_dk = np.float32(1.0 / math.sqrt(dk))
 
-    def new_cache(self) -> KvCache:
+    def new_cache(self, n_streams: int = 1) -> KvCache:
         c = self.config
-        return KvCache(c.n_layers, c.n_heads, c.d_head, c.max_seq_len)
+        return KvCache(c.n_layers, c.n_heads, c.d_head, c.max_seq_len, n_streams)
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """cos/sin tables (T, 1, dk // 2) for rows at `positions`."""
@@ -215,24 +219,32 @@ class Engine:
 
     def step(
         self,
-        token: int | np.ndarray,
+        token: int | list[int] | np.ndarray,
         cache: KvCache,
         layout: PromptLayout,
         policy: MaskPolicy | None = None,
         observer: AttnObserver | None = None,
     ) -> np.ndarray:
-        """Process one token, appending one row to every layer's cache.
+        """Process one token per stream, appending one row to every layer's cache.
 
-        Returns next-token logits over the vocabulary.
+        `token` is a token id or a d_model state vector for cache stream 0,
+        returning next-token logits (vocab,); or a list of B token ids for
+        streams [0, B), returning logits (B, vocab).
         """
         c = self.config
         pos = cache.length
         if pos + 1 > c.max_seq_len:
             raise ContextOverflowError(f"sequence length {pos + 1} exceeds max_seq_len {c.max_seq_len}")
-        x = self._embed_id(token) if isinstance(token, (int, np.integer)) else np.asarray(token, np.float32)
-        if x.shape != (c.d_model,):
-            raise ConfigError(f"token state shape {x.shape} does not match d_model {c.d_model}")
-        return self._forward(x[None, :], cache, np.array([pos]), layout, policy, observer)[0]
+        if isinstance(token, list):
+            if not 0 <= min(token) <= max(token) < c.vocab_size:
+                raise DataError(f"token ids {token} out of range for vocab {c.vocab_size}")
+            x = self.checkpoint["embedding"].take(token, axis=0)
+        else:
+            x = self._embed_id(token) if isinstance(token, (int, np.integer)) else np.asarray(token, np.float32)
+            if x.shape != (c.d_model,):
+                raise ConfigError(f"token state shape {x.shape} does not match d_model {c.d_model}")
+        logits = self._forward(x.reshape(-1, 1, c.d_model), cache, np.array([pos]), layout, policy, observer)[:, 0]
+        return logits if isinstance(token, list) else logits[0]
 
     def prefill(
         self,
@@ -241,7 +253,7 @@ class Engine:
         policy: MaskPolicy | None = None,
         return_all_logits: bool = False,
     ) -> np.ndarray:
-        """Process the whole prompt in one batched pass.
+        """Process the whole prompt in one batched pass into cache stream 0.
 
         Returns logits for the last position, or for every position when
         `return_all_logits` is set.
@@ -252,7 +264,7 @@ class Engine:
         base = cache.length
         if base + T > c.max_seq_len:
             raise ContextOverflowError(f"prompt length {base + T} exceeds max_seq_len {c.max_seq_len}")
-        out = self._forward(x, cache, base + np.arange(T), prompt.layout(), policy, None)
+        out = self._forward(x[None], cache, base + np.arange(T), prompt.layout(), policy, None)[0]
         return out if return_all_logits else out[-1]
 
     def _forward(
@@ -264,32 +276,36 @@ class Engine:
         policy: MaskPolicy | None,
         observer: AttnObserver | None,
     ) -> np.ndarray:
-        """Run input rows x (T, d_model) at `positions` through every block,
-        appending their k/v rows to `cache`; returns logits (T, vocab)."""
+        """Run input rows x (B, T, d_model) of cache streams [0, B), all at
+        `positions` (T,), through every block, appending their k/v rows to
+        `cache`; returns logits (B, T, vocab)."""
         c = self.config
         ck = self.checkpoint
-        T = x.shape[0]
+        B, T = x.shape[:2]
+        H, dk = c.n_heads, c.d_head
+        x = x.reshape(B * T, c.d_model)  # rows stream-major, as the policy gets them
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
-        cos, sin = self._rope_tables(positions)
+        cos, sin = self._rope_tables(np.concatenate([positions] * B))  # one row per stream row
         for layer in range(c.n_layers):
             h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-            q = self._rope((h @ ck.layer(layer, "wq")).reshape(T, c.n_heads, c.d_head), cos, sin)
-            k = self._rope((h @ ck.layer(layer, "wk")).reshape(T, c.n_heads, c.d_head), cos, sin)
-            v = (h @ ck.layer(layer, "wv")).reshape(T, c.n_heads, c.d_head)
-            cache.extend(layer, k, v)
-            K = cache.keys(layer)  # (H, S, dk)
-            logits = np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * self._inv_sqrt_dk
+            q = self._rope((h @ ck.layer(layer, "wq")).reshape(B * T, H, dk), cos, sin)
+            k = self._rope((h @ ck.layer(layer, "wk")).reshape(B * T, H, dk), cos, sin)
+            v = (h @ ck.layer(layer, "wv")).reshape(B, T, H, dk)
+            cache.extend(layer, k.reshape(B, T, H, dk), v)
+            K = cache.keys(layer, B)  # (B, H, S, dk)
+            logits = np.matmul(q.reshape(B, T, H, dk).transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2)) * self._inv_sqrt_dk
             if future is not None:
-                logits[:, future] = -np.inf
-            w = _softmax(logits)  # (H, T, S)
+                logits[:, :, future] = -np.inf
+            w = _softmax(logits)  # (B, H, T, S)
             if observer is not None:
-                observer(layer, w[:, 0], int(positions[0]))
-            ctx = np.matmul(w, cache.values(layer)).transpose(1, 0, 2)  # (T, H, dk)
+                for b in range(B):
+                    observer(layer, w[b, :, 0], int(positions[0]))
+            ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
             if policy is not None:
                 masks = policy(layer, q, cache, positions, layout)
                 if masks is not None:
                     ctx = ctx * masks[:, :, None]
-            x = x + ctx.reshape(T, c.d_model) @ ck.layer(layer, "wo")
+            x = x + ctx.reshape(B * T, c.d_model) @ ck.layer(layer, "wo")
             hf = rmsnorm(x, ck.layer(layer, "ffn_norm"))
             x = x + gelu(hf @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
-        return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+        return (rmsnorm(x, ck["final_norm"]) @ ck["output"]).reshape(B, T, -1)

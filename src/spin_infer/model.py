@@ -106,11 +106,6 @@ class Checkpoint:
     def layer(self, i: int, name: str) -> np.ndarray:
         return self.tensors[f"layers.{i}.{name}"]
 
-    def mutated(self, edits: dict[str, np.ndarray]) -> "Checkpoint":
-        """Copy with some tensors replaced (used to build rigged test models)."""
-        tensors = {k: (edits[k] if k in edits else v).astype(np.float32) for k, v in self.tensors.items()}
-        return Checkpoint(self.config, tensors)
-
 
 def init_checkpoint(config: ModelConfig, seed: int) -> Checkpoint:
     """Deterministic random init: one splitmix64 stream consumed in table order.
@@ -174,17 +169,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     data = raw[8 + hlen :]
     expected = tensor_shapes(config)
     entries = header.get("tensors")
-    if not isinstance(entries, list) or [e.get("name") for e in entries] != list(expected):
+    if not isinstance(entries, list) or len(entries) != len(expected):
         raise DataError(f"{path}: tensor table does not match config-derived layout")
     tensors: dict[str, np.ndarray] = {}
     end = 0
-    for entry in entries:
-        name = entry["name"]
-        shape = tuple(int(x) for x in entry["shape"])
+    for entry, name in zip(entries, expected):
+        if not isinstance(entry, dict) or entry.get("name") != name:
+            raise DataError(f"{path}: tensor table entry for {name!r} is not an object with that name")
+        shape, off = entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or any(type(x) is not int for x in shape) or type(off) is not int:
+            raise DataError(f"{path}: tensor {name!r} shape and offset must be JSON integers")
+        shape = tuple(shape)
         if shape != expected[name]:
             raise DataError(f"{path}: tensor {name!r} shape {shape} != expected {expected[name]}")
         n = int(np.prod(shape))
-        off = int(entry["offset"])
         if off != end:
             raise DataError(f"{path}: tensor {name!r} offset {off} is not contiguous")
         end = off + 4 * n

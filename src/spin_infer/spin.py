@@ -154,25 +154,29 @@ class SpinPolicy:
     def _scores(
         self, q: np.ndarray, cache: KvCache, layer_index: int, positions: np.ndarray, layout: PromptLayout
     ) -> np.ndarray:
-        """Scores (T, H) for query rows q (T, H, dk) at `positions`; each row
-        only sees keys at its own position or earlier."""
+        """Scores (B*T, H) for query rows q (B*T, H, dk) of cache streams
+        [0, B), stream-major, at `positions` (T,); each row only sees its own
+        stream's keys at its own position or earlier."""
         cfg = self.config
         if cfg.strategy == "image_attention":
             # the span's keys are frozen once cached, so score against their
             # memoized sum: sum_j q.k_j == q.(sum_j k_j)
             return _row_dots(q, cache.key_span_sum(layer_index, layout.i_start, layout.i_end))
-        keys = cache.keys(layer_index)  # (H, S, dk)
-        S = keys.shape[1]
-        if cfg.strategy == "total_attention":
-            logits = np.matmul(q.transpose(1, 0, 2), keys.transpose(0, 2, 1))  # (H, T, S)
-            allowed = np.arange(S)[None, :] <= positions[:, None]
-            return np.where(allowed[None], logits, np.float32(0.0)).sum(axis=2).T
         if cfg.strategy == "query_norm":
             return np.sqrt(np.sum(np.square(q), axis=-1))
-        # key_norm: causal running mean of key L2 norms
-        norms = np.sqrt(np.sum(np.square(keys), axis=-1))  # (H, S)
-        cum = np.cumsum(norms, axis=1) / np.arange(1, S + 1, dtype=np.float32)[None, :]
-        return cum[:, positions].T
+        T = len(positions)
+        B = len(q) // T
+        keys = cache.keys(layer_index, B)  # (B, H, S, dk)
+        S = keys.shape[2]
+        if cfg.strategy == "total_attention":
+            logits = np.matmul(q.reshape(B, T, *q.shape[1:]).transpose(0, 2, 1, 3), keys.transpose(0, 1, 3, 2))
+            allowed = np.arange(S)[None, :] <= positions[:, None]
+            scores = np.where(allowed, logits, np.float32(0.0)).sum(axis=3)  # (B, H, T)
+        else:  # key_norm: causal running mean of key L2 norms
+            norms = np.sqrt(np.sum(np.square(keys), axis=-1))  # (B, H, S)
+            cum = np.cumsum(norms, axis=2) / np.arange(1, S + 1, dtype=np.float32)
+            scores = cum[:, :, positions]
+        return scores.transpose(0, 2, 1).reshape(B * T, -1)
 
     def _floor(self, layout: PromptLayout) -> int:
         if self.config.apply_to == "generated_text_queries_only":
@@ -191,16 +195,19 @@ class SpinPolicy:
         cfg = self.config
         if not cfg.layer_lo <= layer <= cfg.layer_hi:
             return None
-        # positions are consecutive, so the maskable rows are a suffix
+        # positions are consecutive, so each stream's maskable rows are a suffix
         T = len(positions)
         first = min(max(self._floor(layout) - int(positions[0]), 0), T)
         if first == T:
             return None
-        scores = self._scores(q[first:], cache, layer_index, positions[first:], layout)
-        masks = self._levels[_head_ranks(scores)]
+        H = self.n_heads
+        rows = q.reshape(-1, T, H, q.shape[-1])[:, first:].reshape(-1, H, q.shape[-1]) if first else q
+        masks = self._levels[_head_ranks(self._scores(rows, cache, layer_index, positions[first:], layout))]
         if first:
-            masks = np.concatenate([np.ones((first, self.n_heads), dtype=np.float32), masks])
+            masks = masks.reshape(-1, T - first, H)
+            masks = np.concatenate([np.ones((len(masks), first, H), dtype=np.float32), masks], axis=1).reshape(-1, H)
         if self.trace is not None:
-            for row in range(first, T):
-                self.trace.write(int(positions[row]), layer, masks[row])
+            for row in range(len(masks)):
+                if row % T >= first:
+                    self.trace.write(int(positions[row % T]), layer, masks[row])
         return masks

@@ -4,10 +4,13 @@ the SPIN policy against."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty
 from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax, gelu, rmsnorm
-from spin_infer.errors import ConfigError, DataError
+from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64
 
@@ -30,6 +33,22 @@ def random_prompt(seed: int, config: ModelConfig, n_prefix=2, n_vision=4, n_suff
     return MultimodalPrompt(prefix, vision.astype(np.float32), suffix)
 
 
+def mutated(ck: Checkpoint, edits: dict[str, np.ndarray]) -> Checkpoint:
+    """Copy of a checkpoint with some tensors replaced (rigged test models)."""
+    tensors = {k: (edits[k] if k in edits else v).astype(np.float32) for k, v in ck.tensors.items()}
+    return Checkpoint(ck.config, tensors)
+
+
+def layer_lengths(cache: KvCache) -> tuple[int, ...]:
+    """Rows cached per layer."""
+    return tuple(int(x) for x in cache._len)
+
+
+def copy_cache(cache: KvCache) -> KvCache:
+    """Independent copy of a cache, for plain-path references that branch by copying."""
+    return copy.deepcopy(cache)
+
+
 def reference_step(engine: Engine, x, cache: KvCache, position: int):
     """One decode step of plain multi-head attention with no masking code
     path, written out for a single query row; mirrors the engine's
@@ -42,13 +61,53 @@ def reference_step(engine: Engine, x, cache: KvCache, position: int):
         q = engine._rope((h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head), cos, sin)
         k = engine._rope((h @ ck.layer(layer, "wk")).reshape(1, c.n_heads, c.d_head), cos, sin)
         v = (h @ ck.layer(layer, "wv")).reshape(1, c.n_heads, c.d_head)
-        cache.extend(layer, k, v)
-        K = cache.keys(layer)
+        cache.extend(layer, k[None], v[None])
+        K = cache.keys(layer)[0]
         w = _softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
-        ctx = np.matmul(w, cache.values(layer))  # (H, 1, dk)
+        ctx = np.matmul(w, cache.values(layer)[0])  # (H, 1, dk)
         x = x + ctx.reshape(c.d_model) @ ck.layer(layer, "wo")
         x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
     return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+
+
+def reference_beam(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, policy=None):
+    """Beam search on the plain path: every hypothesis owns a one-stream
+    cache, copied from its parent's, and steps it alone (B = 1). Returns
+    (token_ids, step scores, ended_at_eos, truncated)."""
+    width = config.beam_width
+    layout = prompt.layout()
+    cache = engine.new_cache()
+    live = [([], 0.0, cache, engine.prefill(prompt, cache, policy))]  # (tokens, score, cache, logits)
+    finished, step_scores, truncated = [], [], False
+    for step in range(1, config.max_new_tokens + 1):
+        children = []
+        for i, (tokens, score, _, z) in enumerate(live):
+            logp = _log_softmax64(apply_repetition_penalty(z, tokens, config.repetition_penalty))
+            children += [(score + float(logp[t]), i, int(t)) for t in np.argsort(-logp, kind="stable")[:width]]
+        children.sort(key=lambda c: (-c[0], c[1], c[2]))
+        kept = []
+        for score, i, tok in children:
+            seq = live[i][0] + [tok]
+            if tok == config.eos_id:
+                finished.append((score / len(seq), len(finished), seq, True))
+            elif len(kept) < width:
+                kept.append((score, i, seq))
+        step_scores.append([score for score, _, _ in kept])
+        new_live = []
+        for score, i, seq in kept:
+            if step < config.max_new_tokens:
+                child = copy_cache(live[i][2])
+                try:
+                    new_live.append((seq, score, child, engine.step(seq[-1], child, layout, policy)))
+                    continue
+                except ContextOverflowError:
+                    truncated = True
+            finished.append((score / len(seq), len(finished), seq, False))
+        live = new_live
+        if not live:
+            break
+    _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
+    return best, step_scores, at_eos, truncated
 
 
 def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:
@@ -91,7 +150,7 @@ def uniform_attention_checkpoint(config: ModelConfig, seed: int = 0) -> Checkpoi
     ck = init_checkpoint(config, seed)
     edits = {f"layers.{i}.wq": np.zeros((config.d_model, config.d_model), np.float32)
              for i in range(config.n_layers)}
-    return ck.mutated(edits)
+    return mutated(ck, edits)
 
 
 def planted_checkpoint(
@@ -136,7 +195,7 @@ def planted_checkpoint(
     sl = slice(bait_head * d_head, (bait_head + 1) * d_head)
     wq[:, sl] *= 50.0
     wk[1:, sl] *= 50.0
-    rigged = ck.mutated({"embedding": emb, "layers.0.wq": wq, "layers.0.wk": wk})
+    rigged = mutated(ck, {"embedding": emb, "layers.0.wq": wq, "layers.0.wk": wk})
     return rigged, config
 
 
@@ -150,8 +209,8 @@ class StubCache:
     def __init__(self, length: int = 0):
         self.length = length
 
-    def fork(self):
-        return StubCache(self.length)
+    def select(self, parents):
+        pass
 
 
 class StubConfig:
@@ -172,16 +231,16 @@ class StubEngine:
         self.after = {k: np.asarray(v, dtype=np.float32) for k, v in (after or {}).items()}
         self.config = StubConfig(vocab_size=len(self.first))
 
-    def new_cache(self):
+    def new_cache(self, n_streams: int = 1):
         return StubCache()
 
     def prefill(self, prompt, cache, policy=None, return_all_logits=False):
         cache.length = len(prompt)
         return self.first
 
-    def step(self, token, cache, layout, policy=None, observer=None):
+    def step(self, tokens, cache, layout, policy=None, observer=None):
         cache.length += 1
-        return self.after.get(int(token), self.first)
+        return np.stack([self.after.get(int(t), self.first) for t in tokens])
 
 
 def stub_prompt(d_model: int = 4) -> MultimodalPrompt:

@@ -172,7 +172,7 @@ def test_criterion_03_scoring_oracle():
 
             # the policy's own scoring of the last query row over the cache
             cache = KvCache(1, h, dk, n)
-            cache.extend(0, keys.transpose(1, 0, 2), np.zeros((n, h, dk), np.float32))
+            cache.extend(0, keys.transpose(1, 0, 2)[None], np.zeros((1, n, h, dk), np.float32))
             naive = {
                 "image_attention": naive_span(i_start, i_end),
                 "total_attention": naive_span(0, n),

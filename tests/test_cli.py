@@ -165,6 +165,31 @@ class TestGenerate:
             token_ids.append(json.loads(stdout)["token_ids"])
         assert token_ids[0] == token_ids[1]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.__setitem__(0, 5), "entry for 'embedding' is not an object with that name"),
+            (lambda t: t[1].__setitem__("offset", t[1]["offset"] + 0.5), "must be JSON integers"),
+            (lambda t: t[1].__setitem__("offset", str(t[1]["offset"])), "must be JSON integers"),
+            (lambda t: t[0].__setitem__("offset", False), "must be JSON integers"),
+            (lambda t: t[0].__setitem__("shape", [float(x) for x in t[0]["shape"]]), "must be JSON integers"),
+            (lambda t: t[0].__setitem__("shape", 7), "must be JSON integers"),
+        ],
+        ids=["non_object", "float_offset", "string_offset", "bool_offset", "float_shape", "scalar_shape"],
+    )
+    def test_malformed_tensor_table_exit_3(self, workspace, tmp_path, capsys, edit, message):
+        raw = workspace.checkpoint.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        edit(header["tensors"])
+        blob = json.dumps(header).encode()
+        ckpt = tmp_path / "bad.spnm"
+        ckpt.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
+        code, _, err = run_cli(capsys, "generate", "--ckpt", str(ckpt), "--prompt", str(workspace.corpus))
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_prints_metrics_and_writes_reports(self, workspace, tmp_path, capsys):

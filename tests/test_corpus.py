@@ -65,6 +65,13 @@ class TestTokenTable:
         assert loaded.tokens == t.tokens
         assert loaded.eos_id == t.eos_id
 
+    @pytest.mark.parametrize("eos_id", [1.9, "2", True, None], ids=["float", "string", "bool", "null"])
+    def test_non_integer_eos_id_rejected(self, tmp_path, eos_id):
+        p = tmp_path / "tokens.json"
+        p.write_text(json.dumps({"tokens": ["</s>", "a", "b"], "eos_id": eos_id}))
+        with pytest.raises(DataError, match="eos_id must be a JSON integer"):
+            TokenTable.load(p)
+
 
 class TestGeneration:
     def test_deterministic_bytes(self, tmp_path):

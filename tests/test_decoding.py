@@ -14,12 +14,12 @@ from spin_infer.decoding import (
     generate,
     _nucleus_pick,
 )
-from spin_infer.engine import Engine, KvCache
+from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
 from spin_infer.spin import SpinConfig, SpinPolicy
 
-from helpers import StubEngine, random_prompt, stub_prompt, tiny_engine
+from helpers import StubEngine, random_prompt, reference_beam, stub_prompt, tiny_engine
 
 # frozen from the first verified run of tiny_engine(seed=42) / random_prompt(11)
 GOLDEN_GREEDY = [38, 38, 63, 53, 55, 25, 53, 55, 25, 53, 55, 13]
@@ -314,38 +314,69 @@ class TestGolden:
         assert not res.ended_at_eos
 
 
-class TestCacheHandoff:
-    @staticmethod
-    def count_calls(monkeypatch, cfg):
-        counts = {"fork": 0, "step": 0}
-        fork, step = KvCache.fork, Engine.step
+class TestStepCounts:
+    @pytest.mark.parametrize("cfg, streams", [
+        (DecodeConfig(max_new_tokens=10, eos_id=None), 1),
+        (DecodeConfig(strategy="nucleus", max_new_tokens=10, eos_id=None), 1),
+        (DecodeConfig(strategy="beam", beam_width=1, max_new_tokens=10, eos_id=None), 1),
+        (DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=10, eos_id=None), 3),
+    ], ids=["greedy", "nucleus", "beam1", "beam3"])
+    def test_one_step_per_token_position(self, monkeypatch, cfg, streams):
+        calls = []
+        step = Engine.step
 
-        def counting_fork(cache):
-            counts["fork"] += 1
-            return fork(cache)
+        def counting_step(engine, tokens, *args, **kwargs):
+            calls.append(len(tokens))
+            return step(engine, tokens, *args, **kwargs)
 
-        def counting_step(engine, *args, **kwargs):
-            counts["step"] += 1
-            return step(engine, *args, **kwargs)
-
-        monkeypatch.setattr(KvCache, "fork", counting_fork)
         monkeypatch.setattr(Engine, "step", counting_step)
         engine, prompt, _ = golden_setup(False)
         generate(engine, prompt, cfg)
-        return counts
+        # the tenth token is never fed back; each step carries every live beam
+        assert calls == [streams] * 9
 
-    @pytest.mark.parametrize("cfg", [
-        DecodeConfig(max_new_tokens=10, eos_id=None),
-        DecodeConfig(strategy="nucleus", max_new_tokens=10, eos_id=None),
-        DecodeConfig(strategy="beam", beam_width=1, max_new_tokens=10, eos_id=None),
-    ], ids=["greedy", "nucleus", "beam1"])
-    def test_single_stream_never_forks(self, monkeypatch, cfg):
-        assert self.count_calls(monkeypatch, cfg) == {"fork": 0, "step": 9}
 
-    def test_beam_forks_fewer_times_than_it_steps(self, monkeypatch):
-        cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=10, eos_id=None)
-        counts = self.count_calls(monkeypatch, cfg)
-        assert 0 < counts["fork"] < counts["step"]
+class TestBatchedBeamMatchesPlainPath:
+    """`generate` steps all live beams as one batch over a stream-stacked
+    cache; `reference_beam` steps each beam alone on its own cache copy."""
+
+    @staticmethod
+    def check(engine, prompt, cfg, policy=None):
+        res = generate(engine, prompt, cfg, policy)
+        tokens, scores, at_eos, truncated = reference_beam(engine, prompt, cfg, policy)
+        assert res.token_ids == tokens
+        assert res.ended_at_eos is at_eos
+        assert res.truncated is truncated
+        assert [len(s) for s in res.beam_step_scores] == [len(s) for s in scores]
+        for got, want in zip(res.beam_step_scores, scores):
+            assert np.allclose(got, want, rtol=0, atol=1e-4)
+        return res
+
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    @pytest.mark.parametrize("eos_id", [None, 53])
+    @pytest.mark.parametrize("strategy", [None, "image_attention", "total_attention", "query_norm", "key_norm"])
+    def test_matches(self, width, eos_id, strategy):
+        engine, prompt, _ = golden_setup(False)
+        policy = None
+        if strategy is not None:
+            spin_cfg = SpinConfig(strategy=strategy, r=0.5, alpha=0.0, layer_lo=1, layer_hi=2)
+            policy = SpinPolicy(spin_cfg, engine.config.n_layers, engine.config.n_heads)
+        cfg = DecodeConfig(strategy="beam", beam_width=width, max_new_tokens=10, eos_id=eos_id)
+        self.check(engine, prompt, cfg, policy)
+
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_truncated(self, width):
+        engine, prompt, _ = golden_setup(False, max_seq_len=14)
+        cfg = DecodeConfig(strategy="beam", beam_width=width, max_new_tokens=10, eos_id=None)
+        assert self.check(engine, prompt, cfg).truncated
+
+    def test_criterion_6_width(self):
+        # d_model 256 at width 5: the batched rows differ from one-row steps
+        # in the last ulps, the beams must not
+        engine = tiny_engine(seed=123, n_layers=2, n_heads=8, d_model=256, d_ffn=512, vocab_size=512,
+                             max_seq_len=128)
+        prompt = random_prompt(55, engine.config, n_prefix=0, n_vision=48, n_suffix=16)
+        self.check(engine, prompt, DecodeConfig(strategy="beam", beam_width=5, max_new_tokens=12, eos_id=None))
 
 
 class TestNonFiniteLogits:

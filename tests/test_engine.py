@@ -5,7 +5,7 @@ from spin_infer.engine import Engine, MultimodalPrompt, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import init_checkpoint
 
-from helpers import random_prompt, reference_step, tiny_config, tiny_engine
+from helpers import copy_cache, layer_lengths, mutated, random_prompt, reference_step, tiny_config, tiny_engine
 
 
 @pytest.fixture
@@ -28,7 +28,6 @@ class TestPrompt:
     def test_span_indices(self, engine):
         p = random_prompt(0, engine.config, n_prefix=2, n_vision=5, n_suffix=3)
         assert (p.i_start, p.i_end, len(p)) == (2, 7, 10)
-        assert p.layout().n_vision == 5
 
     def test_empty_vision_rejected(self):
         with pytest.raises(DataError):
@@ -51,9 +50,9 @@ class TestCache:
         cache = engine.new_cache()
         engine.prefill(prompt, cache)
         assert cache.length == len(prompt)
-        assert cache.layer_lengths == (len(prompt),) * engine.config.n_layers
+        assert layer_lengths(cache) == (len(prompt),) * engine.config.n_layers
         engine.step(3, cache, prompt.layout())
-        assert cache.layer_lengths == (len(prompt) + 1,) * engine.config.n_layers
+        assert layer_lengths(cache) == (len(prompt) + 1,) * engine.config.n_layers
 
     def test_prefill_10_plus_step(self, engine):
         p = random_prompt(2, engine.config, n_prefix=3, n_vision=4, n_suffix=3)
@@ -61,14 +60,34 @@ class TestCache:
         cache = engine.new_cache()
         engine.prefill(p, cache)
         engine.step(1, cache, p.layout())
-        assert cache.layer_lengths == (11,) * engine.config.n_layers
+        assert layer_lengths(cache) == (11,) * engine.config.n_layers
 
-    def test_fork_is_independent(self, engine, prompt):
-        cache, layout, _ = prefill_and_layout(engine, prompt)
-        fork = cache.fork()
-        engine.step(1, cache, layout)
-        assert fork.length == len(prompt)
-        assert cache.length == len(prompt) + 1
+    def test_select_streams_independent_and_prompt_never_copied(self, engine, prompt):
+        n = len(prompt)
+        layout = prompt.layout()
+        cache = engine.new_cache(3)
+        engine.prefill(prompt, cache)
+        assert not cache.k[:, 1:].any()  # prefill writes stream 0 only
+        cache.select([0, 0, 0])  # one parent for all: the prompt is broadcast once
+        assert cache.shared == n
+        assert all(np.array_equal(cache.k[:, s, :, :n], cache.k[:, 0, :, :n]) for s in (1, 2))
+        logits = engine.step([1, 2, 3], cache, layout)
+        assert logits.shape == (3, engine.config.vocab_size)
+        assert cache.length == n + 1
+        # a stream's output depends on its own token only
+        other = engine.new_cache(3)
+        engine.prefill(prompt, other)
+        other.select([0, 0, 0])
+        assert np.array_equal(engine.step([1, 5, 7], other, layout)[0], logits[0])
+        # select copies rows from the prompt end on: poisoned prompt rows of
+        # the parent stream 2 never reach streams 0 and 1
+        gen = cache.k[:, :, :, n].copy()
+        cache.k[:, 2, :, :n] = np.nan
+        cache.select([2, 2, 0])
+        assert cache.shared == n
+        assert np.isfinite(cache.k[:, :2, :, :n]).all()
+        assert np.isnan(cache.k[:, 2, :, :n]).all()
+        assert np.array_equal(cache.k[:, :, :, n], gen[:, [2, 2, 0]])
 
     def test_overflow(self):
         engine = tiny_engine(max_seq_len=6)
@@ -82,7 +101,7 @@ class TestCache:
     def test_key_span_sum_beyond_cached_rows(self, engine, prompt):
         cache, _, _ = prefill_and_layout(engine, prompt)
         n = len(prompt)
-        assert np.array_equal(cache.key_span_sum(0, 1, n), cache.keys(0)[:, 1:n].sum(axis=1))
+        assert np.array_equal(cache.key_span_sum(0, 1, n), cache.keys(0)[0, :, 1:n].sum(axis=1))
         with pytest.raises(ContextOverflowError, match="not yet cached"):
             cache.key_span_sum(0, 1, n + 1)
 
@@ -116,7 +135,8 @@ class TestAttentionStep:
 
     def test_zero_mask_annihilates(self, engine, prompt):
         c = engine.config
-        no_wo = Engine(engine.checkpoint.mutated(
+        no_wo = Engine(mutated(
+            engine.checkpoint,
             {f"layers.{i}.wo": np.zeros((c.d_model, c.d_model), np.float32) for i in range(c.n_layers)}
         ))
         layout = prompt.layout()
@@ -140,14 +160,14 @@ class TestAttentionStep:
         logits = engine.step(x, cache, layout, observer=lambda layer, w, pos: weights.append(w))
         # softmax over one scalar is exactly 1, so the attention output is v @ wo
         assert weights[0].tolist() == [[1.0]]
-        v = cache.values(0)[0, 0]
+        v = cache.values(0)[0, 0, 0]
         h = x + v @ ck.layer(0, "wo")
         h = h + gelu(rmsnorm(h, ck.layer(0, "ffn_norm")) @ ck.layer(0, "w1")) @ ck.layer(0, "w2")
         assert np.array_equal(logits, rmsnorm(h, ck["final_norm"]) @ ck["output"])
 
     def test_matches_reference_mha_exactly(self, engine, prompt):
         cache, layout, _ = prefill_and_layout(engine, prompt)
-        ref_cache = cache.fork()
+        ref_cache = copy_cache(cache)
         for tok in (4, 9, 2):
             got = engine.step(tok, cache, layout)
             want = reference_step(engine, engine.checkpoint["embedding"][tok], ref_cache, ref_cache.length)

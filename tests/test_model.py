@@ -12,7 +12,7 @@ from spin_infer.model import (
     tensor_shapes,
 )
 
-from helpers import tiny_config
+from helpers import mutated, tiny_config
 
 
 class TestModelConfig:
@@ -150,4 +150,4 @@ class TestCheckpointFile:
         bad = ck["embedding"].copy()
         bad[0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
-            ck.mutated({"embedding": bad})
+            mutated(ck, {"embedding": bad})

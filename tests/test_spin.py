@@ -281,7 +281,7 @@ class TestSpinPolicy:
                 q = (2 * rng.uniforms(T * H * dk) - 1).reshape(T, H, dk).astype(np.float32)
                 if trial % 5 == 0:
                     q[:] = 0.0  # all-tied scores exercise the index tie-break
-                keys = cache.keys(0)
+                keys = cache.keys(0)[0]
                 for positions in (np.arange(T), np.array([T - 1])):
                     rows = q[-len(positions):]
                     got = policy(0, rows, cache, positions, layout)
@@ -309,7 +309,7 @@ class TestSpinPolicy:
         q = (2 * rng.uniforms(2 * H * dk) - 1).reshape(2, H, dk).astype(np.float32)
         keys = (2 * rng.uniforms(H * S * dk) - 1).reshape(H, S, dk).astype(np.float32)
         cache = KvCache(1, H, dk, S)
-        cache.extend(0, keys.transpose(1, 0, 2), np.zeros((S, H, dk), np.float32))
+        cache.extend(0, keys.transpose(1, 0, 2)[None], np.zeros((1, S, H, dk), np.float32))
         positions = np.array([S - 2, S - 1])
         layout = prompt.layout()
         for strategy in ("image_attention", "total_attention", "query_norm", "key_norm"):
