@@ -121,10 +121,12 @@ class TokenTable:
         try:
             with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-            eos_id = d.get("eos_id", 0)
+            tokens, eos_id = d["tokens"], d.get("eos_id", 0)
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise DataError(f"{path}: bad token table: tokens must be a JSON list of strings")
             if type(eos_id) is not int:
                 raise DataError(f"{path}: bad token table: eos_id must be a JSON integer, got {eos_id!r}")
-            return cls(d["tokens"], eos_id)
+            return cls(tokens, eos_id)
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
             raise DataError(f"{path}: bad token table: {e}") from e
 

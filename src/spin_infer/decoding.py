@@ -14,7 +14,10 @@ earliest first on ties.
 
 Live hypothesis i is stream i of one KV cache of `width` streams: each
 step `KvCache.select`s the kept children's parents, then runs one batched
-`Engine.step` over all live hypotheses.
+`Engine.step` over all live hypotheses. A caller may pass a cache that
+already holds the prompt's first rows; prefill then processes only the
+rest, and on return the cache is truncated back to the prompt's end, so
+it holds exactly this prompt's rows for the caller's next request.
 
 The repetition penalty applies to generated tokens only (never to prompt
 tokens) with the sign-dependent divide/multiply convention. Non-finite
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import AttnObserver, Engine, MaskPolicy, MultimodalPrompt
+from .engine import AttnObserver, Engine, KvCache, MaskPolicy, MultimodalPrompt
 from .errors import ConfigError, ContextOverflowError, DataError
 from .prng import SplitMix64
 
@@ -44,6 +47,11 @@ class DecodeConfig:
     max_new_tokens: int = 32
     eos_id: int | None = 0
     seed: int = 0
+
+    @property
+    def n_streams(self) -> int:
+        """KV cache streams a request needs: one per live hypothesis."""
+        return self.beam_width if self.strategy == "beam" else 1
 
     def __post_init__(self):
         if self.strategy not in DECODE_STRATEGIES:
@@ -126,14 +134,20 @@ def generate(
     policy: MaskPolicy | None = None,
     observer: AttnObserver | None = None,
     token_table=None,
+    cache: KvCache | None = None,
 ) -> GenerationResult:
     """Decode one prompt with `config.strategy`; fills `text` when a token
-    table is supplied."""
+    table is supplied. `cache`, if given, holds rows [0, cache.length) of
+    `prompt` and is left holding rows [0, len(prompt)); `prefill_latency`
+    counts only the rows it lacked."""
     beam = config.strategy == "beam"
-    width = config.beam_width if beam else 1
+    width = config.n_streams
+    if cache is None:
+        cache = engine.new_cache(width)
+    elif cache.n_streams < width:
+        raise ConfigError(f"cache has {cache.n_streams} stream(s), fewer than beam_width {width}")
     rng = SplitMix64(config.seed)
     layout = prompt.layout()
-    cache = engine.new_cache(width)
     t0 = time.perf_counter()
     logits = _finite(engine.prefill(prompt, cache, policy), len(prompt) - 1)[None]
     prefill_s = time.perf_counter() - t0
@@ -187,6 +201,7 @@ def generate(
             break
 
     decode_s = time.perf_counter() - loop_start
+    cache.truncate(len(prompt))
     _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
     result = GenerationResult(
         token_ids=best,

@@ -4,15 +4,18 @@ Architecture: pre-norm residual blocks, RMSNorm, rotary position embedding
 on q/k, GELU (tanh approximation) FFN, no biases. Everything runs in
 float32 so runs are reproducible bit-for-bit.
 
-`prefill` (a prompt, one stream) and `step` (one token in each of B
-streams) share one forward over B streams x T rows, with one matmul per
-weight over all rows and per-stream attention. The attention layer accepts
-an optional *mask policy*: a callable invoked once per layer per forward
-with the post-rotation query vectors, the cache, the query positions and
-the prompt layout. It returns one multiplier per head and query row (or
-None for all-ones); the multipliers scale each head's attention output
-before the output projection. Only `step` takes an attention *observer*,
-so it fires on decode steps only, once per stream.
+`prefill` (the prompt rows a cache lacks, one stream) and `step` (one
+token in each of B streams) share one forward over B streams x T rows,
+with one matmul per weight over all rows and per-stream attention. A cache
+that already holds a prompt's first rows (an earlier request's prompt,
+`truncate`d back to its end) is reused: prefill processes only the rest.
+
+The attention layer accepts an optional *mask policy*: a callable invoked
+once per layer per forward with the post-rotation query vectors, the cache,
+the query positions and the prompt layout. It returns one multiplier per
+head and query row (or None for all-ones); the multipliers scale each
+head's attention output before the output projection. Only `step` takes
+an attention *observer*, so it fires on decode steps only, once per stream.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class KvCache:
     generation streams of one request, preallocated to max_len. All streams
     share one length; a forward over B streams writes streams [0, B).
     `select` is the one way to branch; rows below `shared` are the same in
-    every stream and are never copied.
+    every stream and are never copied. `truncate` drops rows from the end,
+    so one cache can serve several requests whose prompts share a prefix.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int, n_streams: int = 1):
@@ -112,6 +116,17 @@ class KvCache:
     def length(self) -> int:
         """Number of fully processed tokens (min across layers mid-step)."""
         return int(self._len.min())
+
+    @property
+    def n_streams(self) -> int:
+        return self.k.shape[1]
+
+    def truncate(self, n: int) -> None:
+        """Keep rows [0, n) only. The next select that gives every stream
+        one parent broadcasts the rows written after them."""
+        np.minimum(self._len, n, out=self._len)
+        self.shared = min(self.shared, n)
+        self._memo = {key: span for key, span in self._memo.items() if key[2] <= n}
 
     def extend(self, layer: int, ks: np.ndarray, vs: np.ndarray) -> None:
         """Append rows for streams [0, B); ks/vs are (B, T, H, d_head)."""
@@ -137,7 +152,7 @@ class KvCache:
         once and later ones copy generated rows only."""
         lo, hi = self.shared, self.length
         if len(set(parents)) == 1:
-            parents = parents[:1] * self.k.shape[1]
+            parents = parents[:1] * self.n_streams
             self.shared = hi
         moved = [s for s, p in enumerate(parents) if p != s]
         if moved:
@@ -147,8 +162,9 @@ class KvCache:
     def key_span_sum(self, layer: int, lo: int, hi: int) -> np.ndarray:
         """Per-head sum of key rows [lo, hi), memoized.
 
-        Cached rows are append-only, so once the span is fully present its
-        sum never changes; this keeps per-step span scoring O(H*d_head).
+        Rows are only appended or truncated away, so once the span is fully
+        present its sum holds until a truncate cuts into it, which drops the
+        memo; this keeps per-step span scoring O(H*d_head).
         It is taken from stream 0 and holds for every stream because the
         span lies in the prompt, which every stream shares.
         """
@@ -207,14 +223,15 @@ class Engine:
             raise DataError(f"token id {token_id} out of range for vocab {self.config.vocab_size}")
         return self.checkpoint["embedding"][token_id]
 
-    def embed_prompt(self, prompt: MultimodalPrompt) -> np.ndarray:
+    def embed_prompt(self, prompt: MultimodalPrompt, start: int = 0) -> np.ndarray:
+        """Input rows [start, len(prompt)) of `prompt`."""
         if prompt.vision.shape[1] != self.config.d_model:
             raise ConfigError(
                 f"vision embedding dim {prompt.vision.shape[1]} != d_model {self.config.d_model}"
             )
-        rows = [self._embed_id(t) for t in prompt.prefix_ids]
-        rows.extend(prompt.vision)
-        rows.extend(self._embed_id(t) for t in prompt.suffix_ids)
+        rows = [self._embed_id(t) for t in prompt.prefix_ids[start:]]
+        rows.extend(prompt.vision[max(start - prompt.i_start, 0) :])
+        rows.extend(self._embed_id(t) for t in prompt.suffix_ids[max(start - prompt.i_end, 0) :])
         return np.stack(rows).astype(np.float32)
 
     def step(
@@ -253,18 +270,21 @@ class Engine:
         policy: MaskPolicy | None = None,
         return_all_logits: bool = False,
     ) -> np.ndarray:
-        """Process the whole prompt in one batched pass into cache stream 0.
+        """Process the prompt rows cache stream 0 lacks in one batched pass.
 
-        Returns logits for the last position, or for every position when
-        `return_all_logits` is set.
+        The cache holds rows [0, cache.length) of `prompt` (none for a new
+        cache); rows [cache.length, len(prompt)) are processed at their
+        absolute positions. Returns logits for the last position, or for
+        every processed position when `return_all_logits` is set.
         """
         c = self.config
-        x = self.embed_prompt(prompt)
-        T = x.shape[0]
-        base = cache.length
-        if base + T > c.max_seq_len:
-            raise ContextOverflowError(f"prompt length {base + T} exceeds max_seq_len {c.max_seq_len}")
-        out = self._forward(x[None], cache, base + np.arange(T), prompt.layout(), policy, None)[0]
+        base, n = cache.length, len(prompt)
+        if n > c.max_seq_len:
+            raise ContextOverflowError(f"prompt length {n} exceeds max_seq_len {c.max_seq_len}")
+        if base >= n:
+            raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
+        x = self.embed_prompt(prompt, base)
+        out = self._forward(x[None], cache, np.arange(base, n), prompt.layout(), policy, None)[0]
         return out if return_all_logits else out[-1]
 
     def _forward(

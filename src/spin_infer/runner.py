@@ -88,13 +88,19 @@ def _eval_record(
 ) -> tuple[list[GenerationResult], CaptionRecord | None, list[PopeItem], int]:
     """Caption, then one POPE answer per item. Returns every result (caption
     first), the caption's CaptionRecord (None without CHAIR), the answered
-    POPE items and how many items a context overflow skipped."""
+    POPE items and how many items a context overflow skipped.
+
+    The record's requests share one KV cache. Each request leaves it holding
+    its prompt's rows, and every POPE prompt extends the base prompt (and,
+    multi-turn, the previous turn's prompt), so a turn prefills only the
+    rows its prompt adds."""
     ev = cfg.eval
     base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
+    cache = engine.new_cache(cfg.decode.n_streams)
 
     # the caption is always generated: it feeds throughput even without CHAIR
     dcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, record.record_id))
-    caption = generate(engine, base_prompt, dcfg, policy, token_table=table)
+    caption = generate(engine, base_prompt, dcfg, policy, token_table=table, cache=cache)
     results = [caption]
     caption_record = (
         CaptionRecord(record.record_id, caption.text, frozenset(record.gt_objects)) if ev.chair else None
@@ -106,6 +112,8 @@ def _eval_record(
     for j, item in enumerate(record.pope if ev.pope else []):
         q_ids = table.encode_text(item.question())
         prior = turns if ev.pope_mode == "multi_turn" else []
+        if not prior:
+            cache.truncate(len(base_prompt))
         prompt_j = build_multiturn_context(base_prompt, prior, q_ids)
         pcfg = replace(
             cfg.decode,
@@ -113,7 +121,7 @@ def _eval_record(
             max_new_tokens=ev.pope_max_new_tokens,
         )
         try:
-            res = generate(engine, prompt_j, pcfg, policy, token_table=table)
+            res = generate(engine, prompt_j, pcfg, policy, token_table=table, cache=cache)
         except ContextOverflowError:
             skipped = len(record.pope) - j
             log.warning(

@@ -5,14 +5,16 @@ the SPIN policy against."""
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
-from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty
+from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty, generate
 from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
+from spin_infer.metrics import build_multiturn_context
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
-from spin_infer.prng import SplitMix64
+from spin_infer.prng import SplitMix64, derive_seed
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -108,6 +110,30 @@ def reference_beam(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfi
             break
     _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
     return best, step_scores, at_eos, truncated
+
+
+def reference_eval_record(engine: Engine, record, cfg, table, policy=None):
+    """One record's caption and POPE turns on the plain path: every request
+    gets a new cache and prefills its whole prompt. Returns (prompts,
+    token id lists, skipped POPE items), caption first."""
+    ev = cfg.eval
+    base = MultimodalPrompt([], record.vision, record.prompt_ids)
+    dcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, record.record_id))
+    prompts, outs = [base], [generate(engine, base, dcfg, policy).token_ids]
+    turns = []
+    for j, item in enumerate(record.pope if ev.pope else []):
+        q_ids = table.encode_text(item.question())
+        prompt = build_multiturn_context(base, turns if ev.pope_mode == "multi_turn" else [], q_ids)
+        pcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, record.record_id, "pope", j),
+                       max_new_tokens=ev.pope_max_new_tokens)
+        try:
+            ids = generate(engine, prompt, pcfg, policy).token_ids
+        except ContextOverflowError:
+            return prompts, outs, len(record.pope) - j
+        prompts.append(prompt)
+        outs.append(ids)
+        turns.append((q_ids, [t for t in ids if t != table.eos_id]))
+    return prompts, outs, 0
 
 
 def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:
@@ -211,6 +237,9 @@ class StubCache:
 
     def select(self, parents):
         pass
+
+    def truncate(self, n):
+        self.length = min(self.length, n)
 
 
 class StubConfig:

@@ -65,6 +65,14 @@ class TestTokenTable:
         assert loaded.tokens == t.tokens
         assert loaded.eos_id == t.eos_id
 
+    @pytest.mark.parametrize("tokens", ["abc", [1, 2.5, None], {"a": 1}, None],
+                             ids=["string", "non_strings", "object", "null"])
+    def test_tokens_not_a_list_of_strings_rejected(self, tmp_path, tokens):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"tokens": tokens, "eos_id": 0}))
+        with pytest.raises(DataError, match="tokens must be a JSON list of strings"):
+            TokenTable.load(p)
+
     @pytest.mark.parametrize("eos_id", [1.9, "2", True, None], ids=["float", "string", "bool", "null"])
     def test_non_integer_eos_id_rejected(self, tmp_path, eos_id):
         p = tmp_path / "tokens.json"

@@ -426,3 +426,26 @@ class TestGenerateDispatch:
         res = generate(engine, prompt, cfg)
         assert res.truncated
         assert len(res.token_ids) == 12 - 9 + 1  # one sampled token per free slot + final sample
+
+
+class TestGenerateOntoCache:
+    """`generate` with a cache that holds the prompt's first rows."""
+
+    @pytest.mark.parametrize("strategy,width", [("greedy", 1), ("nucleus", 1), ("beam", 3)])
+    def test_reuse_matches_new_cache_and_truncates_to_prompt(self, strategy, width):
+        engine = tiny_engine(seed=1)
+        first = random_prompt(1, engine.config)
+        second = first.extended([5, 6, 7])
+        cfg = DecodeConfig(strategy=strategy, beam_width=width, max_new_tokens=6, eos_id=None, seed=2)
+        cache = engine.new_cache(width)
+        generate(engine, first, cfg, cache=cache)
+        assert (cache.length, cache.shared) == (len(first), len(first))
+        got = generate(engine, second, cfg, cache=cache)
+        assert cache.length == len(second)
+        assert got.token_ids == generate(engine, second, cfg).token_ids
+
+    def test_cache_with_fewer_streams_than_beam_width_rejected(self):
+        engine = tiny_engine(seed=1)
+        cfg = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=2)
+        with pytest.raises(ConfigError, match="fewer than beam_width 3"):
+            generate(engine, random_prompt(1, engine.config), cfg, cache=engine.new_cache(2))

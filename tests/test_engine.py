@@ -105,11 +105,94 @@ class TestCache:
         with pytest.raises(ContextOverflowError, match="not yet cached"):
             cache.key_span_sum(0, 1, n + 1)
 
+    def test_truncate_lengths_shared_and_memo(self, engine, prompt):
+        n = len(prompt)
+        layout = prompt.layout()
+        cache = engine.new_cache(3)
+        engine.prefill(prompt, cache)
+        cache.select([0, 0, 0])
+        for toks in ([1, 2, 3], [4, 5, 6]):
+            engine.step(toks, cache, layout)
+        cache.select([1, 1, 1])
+        assert cache.shared == n + 2
+        span = cache.key_span_sum(0, layout.i_start, layout.i_end)
+        cache.key_span_sum(0, 0, n)
+        cache.key_span_sum(0, 1, n + 1)
+        cache.truncate(n)
+        assert layer_lengths(cache) == (n,) * engine.config.n_layers
+        assert cache.shared == n
+        # spans ending at or before n survive (the very same array), later ones are dropped
+        assert set(cache._memo) == {(0, layout.i_start, layout.i_end), (0, 0, n)}
+        assert cache.key_span_sum(0, layout.i_start, layout.i_end) is span
+        with pytest.raises(ContextOverflowError, match="not yet cached"):
+            cache.key_span_sum(0, 1, n + 1)
+        cache.truncate(n + 5)  # never grows
+        assert cache.length == n
+
+    def test_embed_prompt_from_any_start(self, engine):
+        p = random_prompt(6, engine.config, n_prefix=2, n_vision=3, n_suffix=4)
+        full = engine.embed_prompt(p)
+        for start in range(len(p)):
+            assert np.array_equal(engine.embed_prompt(p, start), full[start:])
+
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_prefill_onto_prefix_matches_fresh_prefill(self, engine, prompt, n_streams):
+        """A prompt prefilled onto a cache holding its first rows (here an
+        earlier prompt, decoded on and truncated back) gives the logits a
+        new cache's full prefill gives, up to the near-tie tolerance."""
+        layout = prompt.layout()
+        longer = prompt.extended([7, 8, 9, 10])
+        fresh = engine.prefill(longer, engine.new_cache(), return_all_logits=True)
+        cache = engine.new_cache(n_streams)
+        engine.prefill(prompt, cache)
+        cache.select([0] * n_streams)
+        engine.step([1, 2, 3][:n_streams], cache, layout)
+        cache.select([n_streams - 1] + [0] * (n_streams - 1))
+        engine.step([4, 5, 6][:n_streams], cache, layout)
+        cache.truncate(len(prompt))
+        got = engine.prefill(longer, cache, return_all_logits=True)
+        assert got.shape == (4, engine.config.vocab_size)
+        assert np.allclose(got, fresh[len(prompt):], atol=1e-4)
+        assert cache.length == len(longer)
+        # the next select from stream 0 broadcasts the new prompt rows to every stream
+        cache.select([0] * n_streams)
+        assert cache.shared == len(longer)
+        for s in range(1, n_streams):
+            assert np.array_equal(cache.k[:, s, :, : len(longer)], cache.k[:, 0, :, : len(longer)])
+
+    def test_prefill_of_empty_cache_unchanged(self, engine, prompt):
+        """An empty cache prefills every row at positions 0..n-1, as before."""
+        layout = prompt.layout()
+        cache = engine.new_cache()
+        engine.prefill(prompt, cache)
+        engine.step(3, cache, layout)
+        cache.truncate(0)
+        again = engine.prefill(prompt, cache, return_all_logits=True)
+        assert np.array_equal(again, engine.prefill(prompt, engine.new_cache(), return_all_logits=True))
+
+    def test_cache_holding_whole_prompt_rejected(self, engine, prompt):
+        cache = engine.new_cache()
+        engine.prefill(prompt, cache)
+        with pytest.raises(ConfigError, match="nothing to prefill"):
+            engine.prefill(prompt, cache)
+        engine.step(3, cache, prompt.layout())
+        with pytest.raises(ConfigError, match="nothing to prefill"):
+            engine.prefill(prompt, cache)
+
     def test_prompt_longer_than_max_rejected(self):
         engine = tiny_engine(max_seq_len=4)
         p = random_prompt(0, engine.config, n_prefix=1, n_vision=3, n_suffix=2)
         with pytest.raises(ContextOverflowError):
             engine.prefill(p, engine.new_cache())
+
+    def test_overflow_onto_prefix_writes_nothing(self):
+        engine = tiny_engine(max_seq_len=8)
+        p = random_prompt(0, engine.config, n_prefix=1, n_vision=3, n_suffix=2)
+        cache = engine.new_cache()
+        engine.prefill(p, cache)
+        with pytest.raises(ContextOverflowError):
+            engine.prefill(p.extended([1, 2, 3]), cache)
+        assert layer_lengths(cache) == (len(p),) * engine.config.n_layers
 
 
 def fixed_masks(value: float):

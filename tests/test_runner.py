@@ -8,6 +8,9 @@ from spin_infer.config import load_run_config
 from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.runner import load_eval_inputs, run_eval, spin_eval_fn
+from spin_infer.spin import SpinPolicy
+
+from helpers import reference_eval_record
 
 
 def strip_timing(report: dict) -> dict:
@@ -248,6 +251,68 @@ class TestGoldenReport:
         cfg = load_run_config(workspace.run_config(tmp_path / "run.json", **overrides), environ={})
         report = run_eval(cfg, write_outputs=False)
         assert report_digest(report) == digest
+
+
+SPIN_ON = {"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}
+REUSE_CASES = {
+    "greedy_multi_turn": {},
+    "greedy_single_turn": {"eval": {"pope_mode": "single_turn"}},
+    "beam_2": {"decode": {"strategy": "beam", "beam_width": 2}},
+    "beam_3_single_turn": {"decode": {"strategy": "beam", "beam_width": 3}, "eval": {"pope_mode": "single_turn"}},
+    "nucleus": {"decode": {"strategy": "nucleus", "nucleus_p": 0.8}},
+    "spin_beam_3": {"decode": {"strategy": "beam", "beam_width": 3}, "spin": SPIN_ON},
+    "spin_nucleus_single_turn": {"decode": {"strategy": "nucleus"}, "eval": {"pope_mode": "single_turn"},
+                                 "spin": SPIN_ON},
+    **{
+        f"spin_{strategy}_{apply_to}": {"spin": {**SPIN_ON, "strategy": strategy, "apply_to": apply_to}}
+        for strategy in ("image_attention", "total_attention", "query_norm", "key_norm")
+        for apply_to in ("all_text_queries", "generated_text_queries_only")
+    },
+    "pope_overflow": {"decode": {"max_new_tokens": 4}},
+}
+
+
+class TestPrefixReuse:
+    """A record's requests share one KV cache and each POPE turn prefills
+    only the rows its prompt adds; the plain path gives every request a new
+    cache and prefills the whole prompt. Both must generate the same."""
+
+    def run(self, workspace, tmp_path, overrides):
+        cfg = load_run_config(workspace.run_config(tmp_path / "run.json", **overrides), environ={})
+        inputs = load_eval_inputs(cfg, "eval")
+        mc = inputs.engine.config
+        policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads) if cfg.spin else None
+        refs = {rec.record_id: reference_eval_record(inputs.engine, rec, cfg, inputs.table, policy)
+                for rec in inputs.records}
+        return run_eval(cfg, write_outputs=False, inputs=inputs), refs, inputs, policy
+
+    @pytest.mark.parametrize("case", list(REUSE_CASES))
+    def test_same_generations_as_re_prefill(self, workspace, tmp_path, case):
+        overrides = REUSE_CASES[case]
+        if case == "pope_overflow":
+            overrides = {**overrides, "model": {"checkpoint": str(small_checkpoint(workspace, tmp_path / "s.spnm"))}}
+        report, refs, _, _ = self.run(workspace, tmp_path, overrides)
+        assert report["metrics"]["n_failed_records"] == 0
+        for rid, (_, outs, _) in refs.items():
+            assert report["generations"][rid] == {"caption": outs[0], "pope": outs[1:]}, rid
+        assert report["pope_skipped"] == sum(skipped for _, _, skipped in refs.values())
+        if case == "pope_overflow":
+            assert report["pope_skipped"] > 0
+
+    @pytest.mark.parametrize("case", ["greedy_multi_turn", "greedy_single_turn", "spin_image_attention_all_text_queries"])
+    def test_greedy_answers_are_re_prefill_argmax(self, workspace, tmp_path, case):
+        """Re-prefill prompt_j + tokens[:-1] on a new cache: every greedy
+        token of every request is its position's argmax, up to a near-tie
+        of 1e-4 (the tolerance of test_prefill_matches_stepwise_tokens)."""
+        report, refs, inputs, policy = self.run(workspace, tmp_path, REUSE_CASES[case])
+        engine = inputs.engine
+        for rid, (prompts, _, _) in refs.items():
+            gen = report["generations"][rid]
+            for prompt, tokens in zip(prompts, [gen["caption"]] + gen["pope"]):
+                logits = engine.prefill(prompt.extended(tokens[:-1]), engine.new_cache(), policy,
+                                        return_all_logits=True)[len(prompt) - 1 :]
+                picked = logits[np.arange(len(tokens)), tokens]
+                assert np.all(picked >= logits.max(axis=1) - 1e-4), rid
 
 
 class TestTunerIntegration:
