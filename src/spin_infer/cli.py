@@ -47,6 +47,13 @@ def _decode_from_args(args) -> DecodeConfig:
     )
 
 
+def _input_file(flag: str, path: str) -> str:
+    """`path` as given to `flag`; a missing file or a directory is a config error."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{flag}: file not found: {path}")
+    return path
+
+
 def _prompt_from_corpus(path: str, record_id: str | None, index: int) -> MultimodalPrompt:
     records = load_corpus(path)
     if record_id is not None:
@@ -97,10 +104,10 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    engine = Engine(load_checkpoint(args.ckpt))
-    prompt = _prompt_from_corpus(args.prompt, args.record_id, args.index)
+    engine = Engine(load_checkpoint(_input_file("--ckpt", args.ckpt)))
+    prompt = _prompt_from_corpus(_input_file("--prompt", args.prompt), args.record_id, args.index)
     decode = _decode_from_args(args)
-    table = TokenTable.load(args.tokens) if args.tokens else None
+    table = TokenTable.load(_input_file("--tokens", args.tokens)) if args.tokens else None
 
     policy = None
     trace = None
@@ -151,7 +158,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    heatmap = aggregate_masks(args.traces)
+    heatmap = aggregate_masks([_input_file("--traces", p) for p in args.traces])
     heatmap.write_csv(args.out_prefix + ".csv")
     with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
         json.dump(heatmap.to_dict(), fh, indent=2)

@@ -180,9 +180,13 @@ class KvCache:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis computed in place: overwrites its argument
+    and returns it. Same float32 ufuncs in the same order as the allocating
+    form exp(z - max) / sum, so the result is bitwise the same."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 class Engine:
@@ -313,9 +317,11 @@ class Engine:
             v = (h @ ck.layer(layer, "wv")).reshape(B, T, H, dk)
             cache.extend(layer, k.reshape(B, T, H, dk), v)
             K = cache.keys(layer, B)  # (B, H, S, dk)
-            logits = np.matmul(q.reshape(B, T, H, dk).transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2)) * self._inv_sqrt_dk
+            # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
+            logits = np.matmul(q.reshape(B, T, H, dk).transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+            logits *= self._inv_sqrt_dk
             if future is not None:
-                logits[:, :, future] = -np.inf
+                np.copyto(logits, np.float32(-np.inf), where=future)
             w = _softmax(logits)  # (B, H, T, S)
             if observer is not None:
                 for b in range(B):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -146,49 +147,62 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, validating its header against the file size first.
+
+    The tensor data is read once into one float32 buffer, and every loaded
+    tensor is a read-only view of it: no copy of the file's bytes is kept.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path}: not a SPNM checkpoint (bad magic)")
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated header")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + hlen:
-        raise DataError(f"{path}: truncated header (want {hlen} bytes)")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: bad checkpoint header: {e}") from e
-    from .config import _section  # function-level: config imports this module
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        pre = fh.read(8)
+        if pre[:4] != MAGIC:
+            raise DataError(f"{path}: not a SPNM checkpoint (bad magic)")
+        if len(pre) < 8:
+            raise DataError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", pre[4:8])
+        if 8 + hlen > size:  # checked before the read, which allocates hlen bytes up front
+            raise DataError(f"{path}: truncated header (want {hlen} bytes)")
+        try:
+            header = json.loads(fh.read(hlen).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: bad checkpoint header: {e}") from e
+        from .config import _section  # function-level: config imports this module
 
-    try:
-        config = _section(ModelConfig, header.get("config") if isinstance(header, dict) else None, "config")
-    except ConfigError as e:
-        raise DataError(f"{path}: bad checkpoint header: {e}") from e
+        try:
+            config = _section(ModelConfig, header.get("config") if isinstance(header, dict) else None, "config")
+        except ConfigError as e:
+            raise DataError(f"{path}: bad checkpoint header: {e}") from e
 
-    data = raw[8 + hlen :]
-    expected = tensor_shapes(config)
-    entries = header.get("tensors")
-    if not isinstance(entries, list) or len(entries) != len(expected):
-        raise DataError(f"{path}: tensor table does not match config-derived layout")
-    tensors: dict[str, np.ndarray] = {}
-    end = 0
-    for entry, name in zip(entries, expected):
-        if not isinstance(entry, dict) or entry.get("name") != name:
-            raise DataError(f"{path}: tensor table entry for {name!r} is not an object with that name")
-        shape, off = entry.get("shape"), entry.get("offset")
-        if not isinstance(shape, list) or any(type(x) is not int for x in shape) or type(off) is not int:
-            raise DataError(f"{path}: tensor {name!r} shape and offset must be JSON integers")
-        shape = tuple(shape)
-        if shape != expected[name]:
-            raise DataError(f"{path}: tensor {name!r} shape {shape} != expected {expected[name]}")
-        n = int(np.prod(shape))
-        if off != end:
-            raise DataError(f"{path}: tensor {name!r} offset {off} is not contiguous")
-        end = off + 4 * n
-        if end > len(data):
-            raise DataError(f"{path}: tensor {name!r} runs past end of file")
-        tensors[name] = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-    if end != len(data):
-        raise DataError(f"{path}: {len(data) - end} trailing bytes after tensor data")
+        data_len = size - 8 - hlen
+        expected = tensor_shapes(config)
+        entries = header.get("tensors")
+        if not isinstance(entries, list) or len(entries) != len(expected):
+            raise DataError(f"{path}: tensor table does not match config-derived layout")
+        starts = []  # each tensor's first float in the data section
+        end = 0
+        for entry, name in zip(entries, expected):
+            if not isinstance(entry, dict) or entry.get("name") != name:
+                raise DataError(f"{path}: tensor table entry for {name!r} is not an object with that name")
+            shape, off = entry.get("shape"), entry.get("offset")
+            if not isinstance(shape, list) or any(type(x) is not int for x in shape) or type(off) is not int:
+                raise DataError(f"{path}: tensor {name!r} shape and offset must be JSON integers")
+            shape = tuple(shape)
+            if shape != expected[name]:
+                raise DataError(f"{path}: tensor {name!r} shape {shape} != expected {expected[name]}")
+            if off != end:
+                raise DataError(f"{path}: tensor {name!r} offset {off} is not contiguous")
+            starts.append(off // 4)
+            end = off + 4 * math.prod(shape)
+            if end > data_len:
+                raise DataError(f"{path}: tensor {name!r} runs past end of file")
+        if end != data_len:
+            raise DataError(f"{path}: {data_len - end} trailing bytes after tensor data")
+        # a fresh array, not a view of the file bytes: those start at 8 + hlen,
+        # which is float32-aligned only when hlen % 4 == 0
+        flat = np.empty(end // 4, dtype="<f4")
+        got = fh.readinto(flat)
+        if got != end:
+            raise DataError(f"{path}: read {got} of {end} tensor data bytes")
+    tensors = {name: flat[o : o + math.prod(shape)].reshape(shape) for o, (name, shape) in zip(starts, expected.items())}
     return Checkpoint(config, tensors)

@@ -5,6 +5,7 @@ the SPIN policy against."""
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,17 @@ def mutated(ck: Checkpoint, edits: dict[str, np.ndarray]) -> Checkpoint:
     return Checkpoint(ck.config, tensors)
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes `tracemalloc` traces above the starting level while fn() runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def layer_lengths(cache: KvCache) -> tuple[int, ...]:
     """Rows cached per layer."""
     return tuple(int(x) for x in cache._len)
@@ -68,6 +80,40 @@ def reference_step(engine: Engine, x, cache: KvCache, position: int):
         w = _softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
         ctx = np.matmul(w, cache.values(layer)[0])  # (H, 1, dk)
         x = x + ctx.reshape(c.d_model) @ ck.layer(layer, "wo")
+        x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
+    return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+
+
+def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, policy=None):
+    """Prefill of the prompt rows a one-stream cache lacks, with the
+    allocating score formula: scale by multiplication, mask future keys by
+    boolean indexing, then exp(z - max) / sum in fresh arrays. Every other
+    op mirrors the engine's, so the logits (T, vocab) must agree bit for bit."""
+    c = engine.config
+    ck = engine.checkpoint
+    H, dk = c.n_heads, c.d_head
+    base, n = cache.length, len(prompt)
+    T = n - base
+    positions = np.arange(base, n)
+    future = np.arange(n)[None, :] > positions[:, None]
+    cos, sin = engine._rope_tables(positions)
+    x = engine.embed_prompt(prompt, base)
+    for layer in range(c.n_layers):
+        h = rmsnorm(x, ck.layer(layer, "attn_norm"))
+        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(T, H, dk), cos, sin)
+        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(T, H, dk), cos, sin)
+        v = (h @ ck.layer(layer, "wv")).reshape(1, T, H, dk)
+        cache.extend(layer, k[None], v)
+        z = np.matmul(q[None].transpose(0, 2, 1, 3), cache.keys(layer).transpose(0, 1, 3, 2)) * engine._inv_sqrt_dk
+        z[:, :, future] = -np.inf
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        ctx = np.matmul(w, cache.values(layer)).transpose(0, 2, 1, 3).reshape(T, H, dk)
+        if policy is not None:
+            masks = policy(layer, q, cache, positions, prompt.layout())
+            if masks is not None:
+                ctx = ctx * masks[:, :, None]
+        x = x + ctx.reshape(T, c.d_model) @ ck.layer(layer, "wo")
         x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
     return rmsnorm(x, ck["final_norm"]) @ ck["output"]
 

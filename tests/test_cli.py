@@ -133,6 +133,15 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--ckpt", "--prompt", "--tokens"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_missing_input_file_exit_2(self, workspace, tmp_path, capsys, flag, kind):
+        bad = tmp_path / "absent" if kind == "missing" else tmp_path
+        files = {"--ckpt": workspace.checkpoint, "--prompt": workspace.corpus, "--tokens": workspace.tokens, flag: bad}
+        code, _, err = run_cli(capsys, "generate", *[str(x) for item in files.items() for x in item])
+        assert code == 2
+        assert err.strip() == f"config error: {flag}: file not found: {bad}"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -300,6 +309,14 @@ class TestProfileHeatmapTune:
         rows = (tmp_path / "heat.csv").read_text().strip().splitlines()
         assert rows[0] == "layer,head,value"
         assert len(rows) == 1 + 2 * 4
+
+    def test_heatmap_missing_trace_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "heatmap", "--traces", str(tmp_path / "absent.jsonl"), "--out-prefix", str(tmp_path / "heat")
+        )
+        assert code == 2
+        assert err.strip() == f"config error: --traces: file not found: {tmp_path / 'absent.jsonl'}"
+        assert not (tmp_path / "heat.csv").exists()
 
     def test_tune_command(self, workspace, tmp_path, capsys):
         cfg = workspace.run_config(

@@ -4,8 +4,19 @@ import pytest
 from spin_infer.engine import Engine, MultimodalPrompt, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import init_checkpoint
+from spin_infer.spin import SpinConfig, SpinPolicy
 
-from helpers import copy_cache, layer_lengths, mutated, random_prompt, reference_step, tiny_config, tiny_engine
+from helpers import (
+    copy_cache,
+    layer_lengths,
+    mutated,
+    random_prompt,
+    reference_prefill,
+    reference_step,
+    tiny_config,
+    tiny_engine,
+    traced_peak,
+)
 
 
 @pytest.fixture
@@ -319,6 +330,50 @@ class TestSoftmaxAndCausality:
         assert int(np.argmax(logits_a)) == int(np.argmax(logits_b))
 
 
+class TestPrefillScores:
+    """Prefill turns its q.K^T scores into attention weights in their own
+    buffer; `reference_prefill` keeps the allocating formula, and the two
+    must agree bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(engine, prompt, cache, policy=None):
+        base, ref_cache = cache.length, copy_cache(cache)
+        got = engine.prefill(prompt, cache, policy, return_all_logits=True)
+        want = reference_prefill(engine, prompt, ref_cache, policy)
+        assert got.shape == want.shape == (len(prompt) - base, engine.config.vocab_size)
+        assert np.array_equal(got, want)
+        assert np.array_equal(cache.k, ref_cache.k) and np.array_equal(cache.v, ref_cache.v)
+        return got
+
+    def test_new_cache(self, engine, prompt):
+        self.assert_matches_reference(engine, prompt, engine.new_cache())
+
+    def test_cache_holding_prefix(self, engine, prompt):
+        cache = engine.new_cache()
+        engine.prefill(prompt, cache)
+        self.assert_matches_reference(engine, prompt.extended([7, 8, 9, 10]), cache)
+
+    @pytest.mark.parametrize("strategy", ["image_attention", "total_attention"])
+    def test_spin_policy(self, engine, prompt, strategy):
+        c = engine.config
+        policy = SpinPolicy(SpinConfig(strategy=strategy, r=0.5, alpha=0.0, layer_hi=c.n_layers), c.n_layers, c.n_heads)
+        masked = self.assert_matches_reference(engine, prompt, engine.new_cache(), policy)
+        assert not np.array_equal(masked, engine.prefill(prompt, engine.new_cache(), return_all_logits=True))
+        cache = engine.new_cache()
+        engine.prefill(prompt, cache, policy)
+        self.assert_matches_reference(engine, prompt.extended([7, 8, 9]), cache, policy)
+
+    def test_one_score_buffer(self):
+        """Where the (H, T, S) scores dominate, prefill holds about one copy
+        of them above the cache; the allocating formula holds three."""
+        engine = tiny_engine(n_layers=1, n_heads=4, d_model=16, d_ffn=16, vocab_size=32, max_seq_len=400)
+        prompt = random_prompt(2, engine.config, n_prefix=2, n_vision=394, n_suffix=4)
+        score_bytes = engine.config.n_heads * len(prompt) ** 2 * 4
+        engine.prefill(prompt, engine.new_cache())  # first-call allocations are not the prefill's
+        cache = engine.new_cache()
+        assert traced_peak(lambda: engine.prefill(prompt, cache)) <= 1.5 * score_bytes
+
+
 class TestNumerics:
     def test_all_float32(self, engine, prompt):
         cache = engine.new_cache()
@@ -331,3 +386,12 @@ class TestNumerics:
         w = _softmax(z)
         assert w[0, 1] == 0.0
         assert abs(w.sum() - 1.0) < 1e-6
+
+    def test_softmax_overwrites_its_argument(self):
+        z = np.array([[0.5, -np.inf, 2.0], [1.0, 1.0, -3.0]], dtype=np.float32)
+        m = z.max(axis=-1, keepdims=True)
+        e = np.exp(z - m)
+        want = e / e.sum(axis=-1, keepdims=True)
+        w = _softmax(z)
+        assert w is z
+        assert np.array_equal(w, want)

@@ -1,4 +1,6 @@
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spin_infer.model import (
     tensor_shapes,
 )
 
-from helpers import mutated, tiny_config
+from helpers import mutated, tiny_config, traced_peak
 
 
 class TestModelConfig:
@@ -151,3 +153,70 @@ class TestCheckpointFile:
         bad[0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             mutated(ck, {"embedding": bad})
+
+
+def _split(path):
+    """(header bytes, data bytes) of a checkpoint file."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[4:8], "little")
+    return raw[8 : 8 + hlen], raw[8 + hlen :]
+
+
+class TestLoadOnce:
+    """The tensor data is read once into one float32 buffer; the loaded
+    tensors are read-only views of it."""
+
+    def test_peak_is_one_copy_of_the_data(self, tmp_path):
+        config = ModelConfig(n_layers=4, n_heads=4, d_model=64, d_ffn=128, vocab_size=64, max_seq_len=64)
+        path = tmp_path / "m.spnm"
+        save_checkpoint(init_checkpoint(config, 2), path)
+        header, data = _split(path)
+        load_checkpoint(path)  # first-call imports are not the load's
+        peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak <= 1.1 * len(data) + len(header)
+
+    @pytest.mark.parametrize("pad_to", [0, 1, 2, 3])
+    def test_tensors_aligned_contiguous_read_only(self, tmp_path, pad_to):
+        ck = init_checkpoint(tiny_config(), 4)
+        path = tmp_path / "m.spnm"
+        save_checkpoint(ck, path)
+        header, data = _split(path)
+        header += b" " * ((pad_to - len(header)) % 4)  # JSON allows trailing whitespace
+        assert len(header) % 4 == pad_to
+        path.write_bytes(b"SPNM" + len(header).to_bytes(4, "little") + header + data)
+        loaded = load_checkpoint(path)
+        assert len({id(t.base) for t in loaded.tensors.values()}) == 1
+        for name, t in loaded.tensors.items():
+            assert t.flags.aligned and t.flags.c_contiguous and not t.flags.writeable, name
+            assert t.ctypes.data % 4 == 0, name
+            assert np.array_equal(t, ck[name]), name
+            with pytest.raises(ValueError):
+                t.reshape(-1)[0] = 1.0
+
+    @pytest.mark.parametrize("raw", [b"", b"SP", b"SPNM", b"SPNM\x02\x00\x00"])
+    def test_shorter_than_preamble_rejected(self, tmp_path, raw):
+        path = tmp_path / "m.spnm"
+        path.write_bytes(raw)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_allocates_nothing(self, tmp_path):
+        path = tmp_path / "m.spnm"
+        path.write_bytes(b"SPNM" + (2**31).to_bytes(4, "little") + b"{}")
+
+        def load():
+            with pytest.raises(DataError, match="truncated header"):
+                load_checkpoint(path)
+
+        assert traced_peak(load) < 2**20
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        """A file that shrinks after its size was checked fails as a data
+        error, not with a partly filled buffer."""
+        path = tmp_path / "m.spnm"
+        save_checkpoint(init_checkpoint(tiny_config(), 1), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(DataError, match="tensor data bytes"):
+            load_checkpoint(path)
