@@ -118,9 +118,13 @@ def _read_trace(path: str | Path):
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: bad trace line: {e}") from e
             if meta is None:
-                if "meta" not in obj:
-                    raise DataError(f"{path}:{lineno}: first trace line must carry the meta header")
-                meta = obj["meta"]
+                meta = obj.get("meta") if isinstance(obj, dict) else None
+                if not isinstance(meta, dict):
+                    raise DataError(f"{path}:{lineno}: first trace line must carry the meta header object")
+                for key in ("n_layers", "n_heads"):
+                    n = meta.get(key)
+                    if type(n) is not int or n < 1:  # a JSON integer: not a bool, not a float
+                        raise DataError(f"{path}:{lineno}: meta.{key} must be a positive integer, got {n!r}")
                 kept = np.zeros((meta["n_layers"], meta["n_heads"]), dtype=np.int64)
                 steps = np.zeros(meta["n_layers"], dtype=np.int64)
                 continue
@@ -265,6 +269,12 @@ def tune_three_stage(
         layer_grids = default_layer_grids(n_layers)
     if not layer_grids:
         raise ConfigError("tuner layer grid must be non-empty")
+    # every grid value must make a valid config before the first eval runs
+    grid = [SpinConfig(strategy=strategy, r=r, layer_hi=n_layers) for r in r_grid]
+    grid += [SpinConfig(strategy=strategy, alpha=alpha, layer_hi=n_layers) for alpha in alpha_grid]
+    grid += [SpinConfig(strategy=strategy, layer_lo=lo, layer_hi=hi) for lo, hi in layer_grids]
+    for cfg in grid:
+        cfg.check_layers(n_layers)
 
     cache: dict[SpinConfig, dict[str, float]] = {}
 

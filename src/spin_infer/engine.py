@@ -11,11 +11,12 @@ that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
 The attention layer accepts an optional *mask policy*: a callable invoked
-once per layer per forward with the post-rotation query vectors, the cache,
-the query positions and the prompt layout. It returns one multiplier per
-head and query row (or None for all-ones); the multipliers scale each
-head's attention output before the output projection. Only `step` takes
-an attention *observer*, so it fires on decode steps only, once per stream.
+once per layer per forward with the post-rotation query vectors, the
+layer's cached keys, its raw q.K^T attention logits, the query positions
+and the prompt layout. It returns one multiplier per head and query row
+(or None for all-ones); the multipliers scale each head's attention output
+before the output projection. Only `step` takes an attention *observer*,
+so it fires on decode steps only, once per stream.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ import numpy as np
 from .errors import ConfigError, ContextOverflowError, DataError
 from .model import Checkpoint
 
-# policy(layer_index, q_rot (B*T,H,dk), cache, positions (T,), layout) -> (B*T,H) or None;
-# query rows are stream-major: row b*T + t is stream b at positions[t]
-MaskPolicy = Callable[[int, np.ndarray, "KvCache", np.ndarray, "PromptLayout"], Optional[np.ndarray]]
+# policy(layer_index, q_rot (B*T,H,dk), keys (B,H,S,dk), logits (B,H,T,S), positions (T,), layout)
+#   -> (B*T,H) or None; query rows are stream-major: row b*T + t is stream b at positions[t].
+# logits is q.K^T before the 1/sqrt(dk) scale and the causal mask; the softmax
+# then overwrites it in place, so a policy must neither write it nor keep it.
+MaskPolicy = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, "PromptLayout"], Optional[np.ndarray]]
 # observer(layer_index, attn_weights (H,S), position) -- decode steps only, once per stream
 AttnObserver = Callable[[int, np.ndarray, int], None]
 
@@ -110,7 +113,6 @@ class KvCache:
         self.v = np.zeros((n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
         self._len = np.zeros(n_layers, dtype=np.int64)
         self.shared = 0
-        self._memo: dict = {}
 
     @property
     def length(self) -> int:
@@ -126,7 +128,6 @@ class KvCache:
         one parent broadcasts the rows written after them."""
         np.minimum(self._len, n, out=self._len)
         self.shared = min(self.shared, n)
-        self._memo = {key: span for key, span in self._memo.items() if key[2] <= n}
 
     def extend(self, layer: int, ks: np.ndarray, vs: np.ndarray) -> None:
         """Append rows for streams [0, B); ks/vs are (B, T, H, d_head)."""
@@ -158,25 +159,6 @@ class KvCache:
         if moved:
             for a in (self.k, self.v):
                 a[:, moved, :, lo:hi] = a[:, [parents[s] for s in moved], :, lo:hi]
-
-    def key_span_sum(self, layer: int, lo: int, hi: int) -> np.ndarray:
-        """Per-head sum of key rows [lo, hi), memoized.
-
-        Rows are only appended or truncated away, so once the span is fully
-        present its sum holds until a truncate cuts into it, which drops the
-        memo; this keeps per-step span scoring O(H*d_head).
-        It is taken from stream 0 and holds for every stream because the
-        span lies in the prompt, which every stream shares.
-        """
-        memo_key = (layer, lo, hi)
-        hit = self._memo.get(memo_key)
-        if hit is None:
-            if self._len[layer] < hi:
-                raise ContextOverflowError(f"span [{lo}, {hi}) not yet cached at layer {layer}")
-            hit = self.k[layer, 0, :, lo:hi].sum(axis=1)
-            hit.setflags(write=False)
-            self._memo[memo_key] = hit
-        return hit
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -230,9 +212,7 @@ class Engine:
     def embed_prompt(self, prompt: MultimodalPrompt, start: int = 0) -> np.ndarray:
         """Input rows [start, len(prompt)) of `prompt`."""
         if prompt.vision.shape[1] != self.config.d_model:
-            raise ConfigError(
-                f"vision embedding dim {prompt.vision.shape[1]} != d_model {self.config.d_model}"
-            )
+            raise DataError(f"vision embedding dim {prompt.vision.shape[1]} != d_model {self.config.d_model}")
         rows = [self._embed_id(t) for t in prompt.prefix_ids[start:]]
         rows.extend(prompt.vision[max(start - prompt.i_start, 0) :])
         rows.extend(self._embed_id(t) for t in prompt.suffix_ids[max(start - prompt.i_end, 0) :])
@@ -319,6 +299,7 @@ class Engine:
             K = cache.keys(layer, B)  # (B, H, S, dk)
             # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
             logits = np.matmul(q.reshape(B, T, H, dk).transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+            masks = None if policy is None else policy(layer, q, K, logits, positions, layout)
             logits *= self._inv_sqrt_dk
             if future is not None:
                 np.copyto(logits, np.float32(-np.inf), where=future)
@@ -327,10 +308,8 @@ class Engine:
                 for b in range(B):
                     observer(layer, w[b, :, 0], int(positions[0]))
             ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
-            if policy is not None:
-                masks = policy(layer, q, cache, positions, layout)
-                if masks is not None:
-                    ctx = ctx * masks[:, :, None]
+            if masks is not None:
+                ctx = ctx * masks[:, :, None]
             x = x + ctx.reshape(B * T, c.d_model) @ ck.layer(layer, "wo")
             hf = rmsnorm(x, ck.layer(layer, "ffn_norm"))
             x = x + gelu(hf @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")

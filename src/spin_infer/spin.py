@@ -17,17 +17,11 @@ from typing import IO
 
 import numpy as np
 
-from .engine import KvCache, PromptLayout
+from .engine import PromptLayout
 from .errors import ConfigError
 
 STRATEGIES = ("image_attention", "total_attention", "query_norm", "key_norm")
 APPLY_MODES = ("all_text_queries", "generated_text_queries_only")
-
-if hasattr(np, "vecdot"):
-    _row_dots = np.vecdot  # one dispatch on the decode hot path
-else:
-    def _row_dots(a, b):
-        return (a * b).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -52,6 +46,11 @@ class SpinConfig:
             )
         if self.apply_to not in APPLY_MODES:
             raise ConfigError(f"spin.apply_to must be one of {APPLY_MODES}, got {self.apply_to!r}")
+
+    def check_layers(self, n_layers: int) -> None:
+        """Raise ConfigError unless the layer range fits an n_layers model."""
+        if self.layer_hi > n_layers:
+            raise ConfigError(f"spin.layer_range [{self.layer_lo}, {self.layer_hi}] exceeds n_layers {n_layers}")
 
     def to_dict(self) -> dict:
         return {
@@ -141,10 +140,7 @@ class SpinPolicy:
         n_heads: int,
         trace: MaskTraceWriter | None = None,
     ):
-        if config.layer_hi > n_layers:
-            raise ConfigError(
-                f"spin.layer_range [{config.layer_lo}, {config.layer_hi}] exceeds n_layers {n_layers}"
-            )
+        config.check_layers(n_layers)
         self.config = config
         self.n_layers = n_layers
         self.n_heads = n_heads
@@ -152,31 +148,27 @@ class SpinPolicy:
         self._levels = _rank_levels(config, n_heads)
 
     def _scores(
-        self, q: np.ndarray, cache: KvCache, layer_index: int, positions: np.ndarray, layout: PromptLayout
+        self, q: np.ndarray, keys: np.ndarray, logits: np.ndarray, positions: np.ndarray, layout: PromptLayout
     ) -> np.ndarray:
-        """Scores (B*T, H) for query rows q (B*T, H, dk) of cache streams
-        [0, B), stream-major, at `positions` (T,); each row only sees its own
-        stream's keys at its own position or earlier."""
+        """Scores (B*T, H), stream-major, for query rows q (B*T, H, dk) at
+        `positions` (T,), read from the layer's keys (B, H, S, dk) and its
+        unscaled q.K^T logits (B, H, T, S) of those rows: a head's attention
+        score is sum_j q.k_j with no softmax and no 1/sqrt(d_k) scaling.
+        Each row only sees its own stream's keys at its own position or
+        earlier."""
         cfg = self.config
-        if cfg.strategy == "image_attention":
-            # the span's keys are frozen once cached, so score against their
-            # memoized sum: sum_j q.k_j == q.(sum_j k_j)
-            return _row_dots(q, cache.key_span_sum(layer_index, layout.i_start, layout.i_end))
         if cfg.strategy == "query_norm":
             return np.sqrt(np.sum(np.square(q), axis=-1))
-        T = len(positions)
-        B = len(q) // T
-        keys = cache.keys(layer_index, B)  # (B, H, S, dk)
-        S = keys.shape[2]
-        if cfg.strategy == "total_attention":
-            logits = np.matmul(q.reshape(B, T, *q.shape[1:]).transpose(0, 2, 1, 3), keys.transpose(0, 1, 3, 2))
-            allowed = np.arange(S)[None, :] <= positions[:, None]
-            scores = np.where(allowed, logits, np.float32(0.0)).sum(axis=3)  # (B, H, T)
+        if cfg.strategy == "image_attention":
+            scores = logits[..., layout.i_start : layout.i_end].sum(axis=3)  # (B, H, T)
+        elif cfg.strategy == "total_attention":
+            allowed = np.arange(logits.shape[3])[None, :] <= positions[:, None]
+            scores = np.where(allowed, logits, np.float32(0.0)).sum(axis=3)
         else:  # key_norm: causal running mean of key L2 norms
             norms = np.sqrt(np.sum(np.square(keys), axis=-1))  # (B, H, S)
-            cum = np.cumsum(norms, axis=2) / np.arange(1, S + 1, dtype=np.float32)
+            cum = np.cumsum(norms, axis=2) / np.arange(1, norms.shape[2] + 1, dtype=np.float32)
             scores = cum[:, :, positions]
-        return scores.transpose(0, 2, 1).reshape(B * T, -1)
+        return scores.transpose(0, 2, 1).reshape(len(q), -1)
 
     def _floor(self, layout: PromptLayout) -> int:
         if self.config.apply_to == "generated_text_queries_only":
@@ -187,7 +179,8 @@ class SpinPolicy:
         self,
         layer_index: int,
         q: np.ndarray,
-        cache: KvCache,
+        keys: np.ndarray,
+        logits: np.ndarray,
         positions: np.ndarray,
         layout: PromptLayout,
     ) -> np.ndarray | None:
@@ -202,7 +195,8 @@ class SpinPolicy:
             return None
         H = self.n_heads
         rows = q.reshape(-1, T, H, q.shape[-1])[:, first:].reshape(-1, H, q.shape[-1]) if first else q
-        masks = self._levels[_head_ranks(self._scores(rows, cache, layer_index, positions[first:], layout))]
+        scores = self._scores(rows, keys, logits[:, :, first:], positions[first:], layout)
+        masks = self._levels[_head_ranks(scores)]
         if first:
             masks = masks.reshape(-1, T - first, H)
             masks = np.concatenate([np.ones((len(masks), first, H), dtype=np.float32), masks], axis=1).reshape(-1, H)

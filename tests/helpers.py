@@ -104,18 +104,26 @@ def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, 
         k = engine._rope((h @ ck.layer(layer, "wk")).reshape(T, H, dk), cos, sin)
         v = (h @ ck.layer(layer, "wv")).reshape(1, T, H, dk)
         cache.extend(layer, k[None], v)
-        z = np.matmul(q[None].transpose(0, 2, 1, 3), cache.keys(layer).transpose(0, 1, 3, 2)) * engine._inv_sqrt_dk
+        K = cache.keys(layer)
+        raw = np.matmul(q[None].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+        masks = None if policy is None else policy(layer, q, K, raw, positions, prompt.layout())
+        z = raw * engine._inv_sqrt_dk
         z[:, :, future] = -np.inf
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
         ctx = np.matmul(w, cache.values(layer)).transpose(0, 2, 1, 3).reshape(T, H, dk)
-        if policy is not None:
-            masks = policy(layer, q, cache, positions, prompt.layout())
-            if masks is not None:
-                ctx = ctx * masks[:, :, None]
+        if masks is not None:
+            ctx = ctx * masks[:, :, None]
         x = x + ctx.reshape(T, c.d_model) @ ck.layer(layer, "wo")
         x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
     return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+
+
+def hook_args(q: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (keys, logits) a mask policy gets for query rows q (B*T, H, dk)
+    over keys (B, H, S, dk): the keys and their unscaled q.K^T (B, H, T, S)."""
+    B, (_, H, dk) = len(keys), q.shape
+    return keys, np.matmul(q.reshape(B, -1, H, dk).transpose(0, 2, 1, 3), keys.transpose(0, 1, 3, 2))
 
 
 def reference_beam(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, policy=None):

@@ -22,7 +22,7 @@ from spin_infer.decoding import (
     generate,
     _nucleus_pick,
 )
-from spin_infer.engine import Engine, KvCache, MultimodalPrompt, PromptLayout
+from spin_infer.engine import Engine, MultimodalPrompt, PromptLayout
 from spin_infer.metrics import (
     CaptionRecord,
     ObjectVocabulary,
@@ -39,6 +39,7 @@ from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
 
 from helpers import (
     e1_vision,
+    hook_args,
     planted_checkpoint,
     random_prompt,
     score_heads_alternative,
@@ -170,9 +171,7 @@ def test_criterion_03_scoring_oracle():
             ]
             assert np.abs(got_kn - np.array(naive_kn)).max() < 1e-5, trial
 
-            # the policy's own scoring of the last query row over the cache
-            cache = KvCache(1, h, dk, n)
-            cache.extend(0, keys.transpose(1, 0, 2)[None], np.zeros((1, n, h, dk), np.float32))
+            # the policy's own scoring of the last query row over the keys
             naive = {
                 "image_attention": naive_span(i_start, i_end),
                 "total_attention": naive_span(0, n),
@@ -181,7 +180,8 @@ def test_criterion_03_scoring_oracle():
             }
             for strategy, want in naive.items():
                 policy = SpinPolicy(SpinConfig(strategy=strategy), 1, h)
-                got = policy._scores(q[None], cache, 0, np.array([n - 1]), PromptLayout(i_start, i_end, n))
+                got = policy._scores(q[None], *hook_args(q[None], keys[None]), np.array([n - 1]),
+                                     PromptLayout(i_start, i_end, n))
                 assert np.abs(got[0] - np.array(want)).max() < 1e-5, (trial, strategy)
 
 
@@ -299,8 +299,8 @@ def test_criterion_05_planted_bias_suppression():
             policy = SpinPolicy(cfg, config.n_layers, config.n_heads)
             sets = []
 
-            def spy(layer, q, cache, positions, layout):
-                masks = policy(layer, q, cache, positions, layout)
+            def spy(layer, q, keys, logits, positions, layout):
+                masks = policy(layer, q, keys, logits, positions, layout)
                 if layer == 0 and masks is not None:
                     for row, pos in zip(masks, positions):
                         if pos >= layout.prompt_len:  # decode steps only

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ class TestAggregateMasks:
         with pytest.raises(DataError, match=":3:"):
             aggregate_masks([p])
 
+    @pytest.mark.parametrize("header", [
+        {"meta": {"n_heads": 4}},
+        5,
+        [1, 2],
+        {"spin": {}},
+        {"meta": [1]},
+        {"meta": {"n_layers": -1, "n_heads": 4}},
+        {"meta": {"n_layers": 2, "n_heads": 0}},
+        {"meta": {"n_layers": 2.0, "n_heads": 4}},
+        {"meta": {"n_layers": True, "n_heads": 4}},
+        {"meta": {"n_layers": 2, "n_heads": "4"}},
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n" + json.dumps(header) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: "):
+            aggregate_masks([p])
+
     def test_end_to_end_with_policy(self, tmp_path):
         engine = tiny_engine(seed=2)
         prompt = random_prompt(3, engine.config)
@@ -281,6 +300,25 @@ class TestTuner:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             tune_three_stage(stub_eval({}), n_layers=2, r_grid=[], alpha_grid=[0.0])
+
+    @pytest.mark.parametrize("grids, match", [
+        ({"r_grid": [0.25, 1.0]}, "spin.r"),
+        ({"alpha_grid": [0.0, 2.0]}, "spin.alpha"),
+        ({"layer_grids": [(1, 2), (1, 9)]}, r"spin.layer_range \[1, 9\] exceeds n_layers 2"),
+        ({"layer_grids": [(2, 1)]}, "spin.layer_range"),
+        ({"strategy": "bogus"}, "spin.strategy"),
+    ])
+    def test_bad_grid_rejected_before_any_eval(self, grids, match):
+        calls = []
+
+        def eval_fn(cfg):
+            calls.append(cfg)
+            return {"c_s": 0.1, "f1": 0.8}
+
+        kw = dict(n_layers=2, r_grid=[0.25], alpha_grid=[0.0], layer_grids=[(1, 2)])
+        with pytest.raises(ConfigError, match=match):
+            tune_three_stage(eval_fn, **{**kw, **grids})
+        assert len(calls) == 0
 
     def test_deterministic_and_serializable(self):
         table = {

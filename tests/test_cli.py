@@ -8,6 +8,7 @@ import pytest
 
 import spin_infer
 from spin_infer.cli import main
+from spin_infer.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,13 @@ class TestGenerate:
         )
         assert code == 3
         assert "data error" in err
+
+    def test_vision_width_mismatch_exit_3(self, workspace, tmp_path, capsys):
+        spec = SyntheticCorpusSpec(n_images=2, span_len=4, embed_dim=16, n_objects=10, objects_per_image=2, seed=3)
+        corpus = generate_synthetic_corpus(spec, tmp_path / "corpus").corpus
+        code, _, err = run_cli(capsys, "generate", "--ckpt", str(workspace.checkpoint), "--prompt", str(corpus))
+        assert code == 3
+        assert err.strip() == "data error: vision embedding dim 16 != d_model 24"
 
     def test_missing_spin_file_exit_2(self, workspace, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -316,6 +324,16 @@ class TestProfileHeatmapTune:
         )
         assert code == 2
         assert err.strip() == f"config error: --traces: file not found: {tmp_path / 'absent.jsonl'}"
+        assert not (tmp_path / "heat.csv").exists()
+
+    def test_heatmap_malformed_header_exit_3(self, tmp_path, capsys):
+        trace_path = tmp_path / "masks.jsonl"
+        trace_path.write_text(json.dumps({"meta": {"n_heads": 4}}) + "\n")
+        code, _, err = run_cli(
+            capsys, "heatmap", "--traces", str(trace_path), "--out-prefix", str(tmp_path / "heat")
+        )
+        assert code == 3
+        assert f"{trace_path}:1: meta.n_layers must be a positive integer" in err
         assert not (tmp_path / "heat.csv").exists()
 
     def test_tune_command(self, workspace, tmp_path, capsys):

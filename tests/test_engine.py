@@ -109,14 +109,7 @@ class TestCache:
         with pytest.raises(ContextOverflowError):
             engine.step(1, cache, p.layout())
 
-    def test_key_span_sum_beyond_cached_rows(self, engine, prompt):
-        cache, _, _ = prefill_and_layout(engine, prompt)
-        n = len(prompt)
-        assert np.array_equal(cache.key_span_sum(0, 1, n), cache.keys(0)[0, :, 1:n].sum(axis=1))
-        with pytest.raises(ContextOverflowError, match="not yet cached"):
-            cache.key_span_sum(0, 1, n + 1)
-
-    def test_truncate_lengths_shared_and_memo(self, engine, prompt):
+    def test_truncate_lengths_and_shared(self, engine, prompt):
         n = len(prompt)
         layout = prompt.layout()
         cache = engine.new_cache(3)
@@ -126,17 +119,9 @@ class TestCache:
             engine.step(toks, cache, layout)
         cache.select([1, 1, 1])
         assert cache.shared == n + 2
-        span = cache.key_span_sum(0, layout.i_start, layout.i_end)
-        cache.key_span_sum(0, 0, n)
-        cache.key_span_sum(0, 1, n + 1)
         cache.truncate(n)
         assert layer_lengths(cache) == (n,) * engine.config.n_layers
         assert cache.shared == n
-        # spans ending at or before n survive (the very same array), later ones are dropped
-        assert set(cache._memo) == {(0, layout.i_start, layout.i_end), (0, 0, n)}
-        assert cache.key_span_sum(0, layout.i_start, layout.i_end) is span
-        with pytest.raises(ContextOverflowError, match="not yet cached"):
-            cache.key_span_sum(0, 1, n + 1)
         cache.truncate(n + 5)  # never grows
         assert cache.length == n
 
@@ -209,7 +194,7 @@ class TestCache:
 def fixed_masks(value: float):
     """Mask policy giving every head of every row the same multiplier."""
 
-    def policy(layer, q, cache, positions, layout):
+    def policy(layer, q, keys, logits, positions, layout):
         return np.full((len(positions), q.shape[1]), value, np.float32)
 
     return policy

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_infer.decoding import DecodeConfig, generate
-from spin_infer.engine import Engine, KvCache, MultimodalPrompt
+from spin_infer.engine import Engine, MultimodalPrompt
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
 from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
 
 from helpers import (
     e1_vision,
+    hook_args,
     planted_checkpoint,
     random_prompt,
     score_heads_alternative,
@@ -230,8 +231,8 @@ class TestSpinPolicy:
         policy = make_policy(spin(r=0.5, alpha=0.0), engine)
         seen = {}
 
-        def spy(layer, q, cache, positions, layout):
-            masks = policy(layer, q, cache, positions, layout)
+        def spy(layer, q, keys, logits, positions, layout):
+            masks = policy(layer, q, keys, logits, positions, layout)
             if layer == 0:
                 seen["masks"] = masks
             return masks
@@ -248,7 +249,8 @@ class TestSpinPolicy:
         prompt = random_prompt(3, engine.config)
         cfg = spin(r=0.5, alpha=0.0, apply_to="generated_text_queries_only")
         policy = make_policy(cfg, engine)
-        out = policy(0, np.zeros((len(prompt), 4, 8), np.float32), engine.new_cache(),
+        q = np.zeros((len(prompt), 4, 8), np.float32)
+        out = policy(0, q, *hook_args(q, np.zeros((1, 4, len(prompt), 8), np.float32)),
                      np.arange(len(prompt)), prompt.layout())
         assert out is None  # whole prefill is below the generated floor
 
@@ -256,8 +258,8 @@ class TestSpinPolicy:
         engine = tiny_engine(seed=1)
         prompt = random_prompt(3, engine.config)
         policy = make_policy(spin(r=0.5, alpha=0.0, lo=2, hi=2), engine)
-        out = policy(0, np.zeros((1, 4, 8), np.float32), engine.new_cache(),
-                     np.array([11]), prompt.layout())
+        q = np.zeros((1, 4, 8), np.float32)
+        out = policy(0, q, *hook_args(q, np.zeros((1, 4, 12, 8), np.float32)), np.array([11]), prompt.layout())
         assert out is None
 
     def test_decode_fast_path_matches_build_mask(self):
@@ -284,7 +286,7 @@ class TestSpinPolicy:
                 keys = cache.keys(0)[0]
                 for positions in (np.arange(T), np.array([T - 1])):
                     rows = q[-len(positions):]
-                    got = policy(0, rows, cache, positions, layout)
+                    got = policy(0, rows, *hook_args(rows, cache.keys(0)), positions, layout)
                     for t, pos in enumerate(positions):
                         if pos < layout.i_end:
                             assert (got[t] == 1.0).all(), (strategy, trial, pos)
@@ -308,13 +310,11 @@ class TestSpinPolicy:
         S = len(prompt)
         q = (2 * rng.uniforms(2 * H * dk) - 1).reshape(2, H, dk).astype(np.float32)
         keys = (2 * rng.uniforms(H * S * dk) - 1).reshape(H, S, dk).astype(np.float32)
-        cache = KvCache(1, H, dk, S)
-        cache.extend(0, keys.transpose(1, 0, 2)[None], np.zeros((1, S, H, dk), np.float32))
         positions = np.array([S - 2, S - 1])
         layout = prompt.layout()
         for strategy in ("image_attention", "total_attention", "query_norm", "key_norm"):
             policy = make_policy(spin(r=0.5, alpha=0.0, strategy=strategy), engine)
-            batch = policy._scores(q, cache, 0, positions, layout)
+            batch = policy._scores(q, *hook_args(q, keys[None]), positions, layout)
             for t, pos in enumerate(positions):
                 visible = keys[:, : pos + 1]
                 if strategy == "image_attention":
@@ -333,8 +333,8 @@ class TestPlantedBias:
         policy = make_policy(cfg, engine)
         kept_sets = []
 
-        def spy(layer, q, cache, positions, layout):
-            masks = policy(layer, q, cache, positions, layout)
+        def spy(layer, q, keys, logits, positions, layout):
+            masks = policy(layer, q, keys, logits, positions, layout)
             if layer == 0 and masks is not None:
                 for row, pos in zip(masks, positions):
                     if pos >= layout.i_end:
@@ -347,3 +347,84 @@ class TestPlantedBias:
         for kept in kept_sets:
             assert {5, 6} <= kept
             assert 7 not in kept  # zero image score + highest index loses ties
+
+
+def reference_scores(strategy, q, keys, positions, layout):
+    """Scores (B*T, H) recomputed from the query rows and keys alone, as the
+    policy computed them before it read the layer's logits: the per-row
+    span oracle, a causal q.K^T of its own, or the norm oracles."""
+    B, T, H = len(keys), len(positions), q.shape[1]
+    if strategy == "total_attention":
+        logits = np.matmul(q.reshape(B, T, H, -1).transpose(0, 2, 1, 3), keys.transpose(0, 1, 3, 2))
+        allowed = np.arange(keys.shape[2])[None, :] <= positions[:, None]
+        return np.where(allowed, logits, np.float32(0.0)).sum(axis=3).transpose(0, 2, 1).reshape(B * T, H)
+    rows = []
+    for b in range(B):
+        for t, pos in enumerate(positions):
+            row, visible = q[b * T + t], keys[b, :, : pos + 1]
+            if strategy == "image_attention" and pos >= layout.i_end:
+                rows.append(score_heads_image_attention(row, visible, layout.i_start, layout.i_end))
+            elif strategy == "image_attention":
+                rows.append(np.zeros(H, np.float32))  # not maskable: the span is not behind it yet
+            else:
+                rows.append(score_heads_alternative(strategy, row, visible))
+    return np.asarray(rows, np.float32)
+
+
+class TestHookDifferential:
+    """The policy reads the layer's own logits; its masks must equal
+    build_mask of scores recomputed from q and the keys, except on rows
+    whose K-th and (K+1)-th reference scores are a near tie."""
+
+    STRATEGIES = ("image_attention", "total_attention", "query_norm", "key_norm")
+
+    def spied_policy(self, cfg, engine, stats):
+        policy = make_policy(cfg, engine)
+        K = kept_count(cfg.r, engine.config.n_heads)
+
+        def spy(layer, q, keys, logits, positions, layout):
+            assert logits.shape == (len(keys), q.shape[1], len(positions), keys.shape[2])
+            ref = reference_scores(cfg.strategy, q, keys, positions, layout)
+            masks = policy(layer, q, keys, logits, positions, layout)
+            got = np.ones_like(ref) if masks is None else masks
+            stats["calls"].add((len(keys), len(positions), int(positions[0])))  # (B, T, first position)
+            for row, pos in enumerate(np.tile(positions, len(keys))):
+                want = build_mask(ref[row], cfg, layer + 1) if pos >= layout.i_end else np.ones_like(ref[row])
+                stats["rows"] += 1
+                if not np.array_equal(got[row], want):
+                    kth, next_ = np.sort(ref[row].astype(np.float64))[::-1][K - 1 : K + 1]
+                    assert abs(kth - next_) <= 1e-5 * max(abs(kth), abs(next_)), (cfg.strategy, layer, pos)
+                    stats["near_ties"] += 1
+            return masks
+
+        return spy
+
+    def run(self, strategy, decode, truncate_to=None):
+        engine = tiny_engine(seed=4, n_heads=8, d_model=64)
+        prompt = random_prompt(11, engine.config, n_prefix=2, n_vision=6, n_suffix=5)
+        cfg = spin(r=0.5, alpha=0.25, strategy=strategy)
+        stats = {"calls": set(), "rows": 0, "near_ties": 0}
+        cache = None
+        if truncate_to is not None:
+            cache = engine.new_cache(decode.n_streams)
+            engine.prefill(prompt.extended([9, 10, 11]), cache)
+            cache.truncate(truncate_to)
+        generate(engine, prompt, decode, self.spied_policy(cfg, engine, stats), cache=cache)
+        return stats
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_greedy_prefill_and_decode(self, strategy):
+        stats = self.run(strategy, DecodeConfig(max_new_tokens=8, eos_id=None, seed=0))
+        assert {(1, 13, 0), (1, 1, 13)} <= stats["calls"]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_beam_steps(self, strategy):
+        stats = self.run(strategy, DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=8, eos_id=None))
+        assert any(b == 3 for b, _, _ in stats["calls"])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_prefill_onto_truncated_prefix(self, strategy):
+        # the cache keeps rows below the span's end, so the prefill starts
+        # at base > 0 and its first rows are still unmaskable
+        stats = self.run(strategy, DecodeConfig(max_new_tokens=4, eos_id=None), truncate_to=7)
+        assert (1, 6, 7) in stats["calls"]
