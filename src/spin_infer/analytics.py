@@ -128,14 +128,18 @@ def _read_trace(path: str | Path):
                 kept = np.zeros((meta["n_layers"], meta["n_heads"]), dtype=np.int64)
                 steps = np.zeros(meta["n_layers"], dtype=np.int64)
                 continue
-            try:
-                layer = int(obj["layer"]) - 1
-                mask = np.asarray(obj["mask"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad trace record: {e}") from e
-            if not 0 <= layer < kept.shape[0] or mask.shape != (kept.shape[1],):
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: bad trace record: not an object")
+            for key in ("pos", "layer"):  # JSON integers: not bools, not floats
+                if type(obj.get(key)) is not int:
+                    raise DataError(f"{path}:{lineno}: bad trace record: {key} must be an integer, got {obj.get(key)!r}")
+            mask = obj.get("mask")
+            if not isinstance(mask, list) or any(type(m) not in (int, float) for m in mask):
+                raise DataError(f"{path}:{lineno}: bad trace record: mask must be a list of numbers, got {mask!r}")
+            layer = obj["layer"] - 1
+            if not 0 <= layer < kept.shape[0] or len(mask) != kept.shape[1]:
                 raise DataError(f"{path}:{lineno}: trace record shape does not match meta header")
-            kept[layer] += mask == 1.0
+            kept[layer] += np.array(mask, dtype=np.float64) == 1.0
             steps[layer] += 1
     if meta is None:
         raise DataError(f"{path}: empty mask trace")

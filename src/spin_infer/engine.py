@@ -10,6 +10,11 @@ with one matmul per weight over all rows and per-stream attention. A cache
 that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
+Small forwards are bound by numpy call overhead, so a layer makes few
+calls and keeps every output bit of the plain formulas: one matmul with a
+(3, d, d) q/k/v view of the checkpoint buffer, rope on q and k in place,
+rmsnorm without `np.mean`'s wrapper, GELU and softmax in place.
+
 The attention layer accepts an optional *mask policy*: a callable invoked
 once per layer per forward with the post-rotation query vectors, the
 layer's cached keys, its raw q.K^T attention logits, the query positions
@@ -21,6 +26,7 @@ so it fires on decode steps only, once per stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,17 +44,68 @@ MaskPolicy = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, "Pro
 # observer(layer_index, attn_weights (H,S), position) -- decode steps only, once per stream
 AttnObserver = Callable[[int, np.ndarray, int], None]
 
-_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+_GELU_C = np.float32(0.7978845608028654)  # sqrt(2/pi)
+_GELU_A = np.float32(0.044715)
+_HALF, _ONE = np.float32(0.5), np.float32(1.0)
+_EPS = np.float32(1e-5)  # rmsnorm
 ROPE_BASE = 10000.0
 
 
-def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return (x / np.sqrt(ms + np.float32(eps))) * gain
+def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """x / sqrt(mean(x^2) + eps) * gain over the last axis, in a new array.
+    The mean is np.mean's own reduction and division, without its wrapper."""
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    ms /= x.shape[-1]
+    ms += _EPS
+    np.sqrt(ms, out=ms)
+    out = x / ms
+    out *= gain
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(np.float32(_GELU_C) * (x + np.float32(0.044715) * x * x * x)))
+    """GELU (tanh approximation) computed in place: overwrites its argument
+    and returns it. Same float32 ufuncs in the same order as the allocating
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))), so the result is
+    bitwise the same."""
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += _ONE
+    x *= _HALF
+    x *= t
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _rope_channels(dk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per channel of a head: rope frequency, sign of its sin term, and the
+    partner channel it pairs with. Channel j < dk // 2 pairs with
+    j + dk // 2; an odd trailing channel has frequency 0 and sign 0."""
+    half = dk // 2
+    inv_freq = (ROPE_BASE ** (-2.0 * np.arange(half, dtype=np.float64) / dk)).astype(np.float32)
+    freq = np.concatenate([inv_freq, inv_freq, np.zeros(dk % 2, np.float32)])
+    sign = np.repeat(np.float32([-1.0, 1.0, 0.0]), [half, half, dk % 2])
+    perm = np.arange(dk)
+    perm[: 2 * half] = np.roll(perm[: 2 * half], half)
+    for a in (freq, sign, perm):
+        a.setflags(write=False)  # shared by every engine with this d_head
+    return freq, sign, perm
+
+
+def _rope(x: np.ndarray, cs: np.ndarray, sn: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Rotate x (..., T, H, dk) in place by the factors of `Engine._rope_tables`:
+    x * C + x[..., perm] * S. Each pair (x1, x2) becomes x1 cos - x2 sin and
+    x2 cos + x1 sin bitwise, since a + b * (-s) == a - b * s exactly; an odd
+    trailing dim gets C = 1 and S = 0 and passes through."""
+    rot = np.take(x, perm, axis=-1)
+    x *= cs
+    rot *= sn
+    x += rot
+    return x
 
 
 @dataclass(frozen=True)
@@ -165,9 +222,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis computed in place: overwrites its argument
     and returns it. Same float32 ufuncs in the same order as the allocating
     form exp(z - max) / sum, so the result is bitwise the same."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -175,11 +232,15 @@ class Engine:
     """Inference over one immutable checkpoint; every request owns its cache."""
 
     def __init__(self, checkpoint: Checkpoint):
-        self.checkpoint = checkpoint
-        self.config = checkpoint.config
-        dk = self.config.d_head
-        j = np.arange(dk // 2, dtype=np.float64)
-        self._inv_freq = (ROPE_BASE ** (-2.0 * j / dk)).astype(np.float32)
+        self.checkpoint = ck = checkpoint
+        self.config = c = checkpoint.config
+        # per layer: (attn_norm, wqkv (3, d, d), wo, ffn_norm, w1, w2), all views of the checkpoint
+        self._layers = [
+            (ck.layer(i, "attn_norm"), ck.qkv(i), ck.layer(i, "wo"), ck.layer(i, "ffn_norm"), ck.layer(i, "w1"), ck.layer(i, "w2"))
+            for i in range(c.n_layers)
+        ]
+        dk = c.d_head
+        self._rope_freq, self._rope_sign, self._rope_perm = _rope_channels(dk)
         self._inv_sqrt_dk = np.float32(1.0 / math.sqrt(dk))
 
     def new_cache(self, n_streams: int = 1) -> KvCache:
@@ -187,22 +248,12 @@ class Engine:
         return KvCache(c.n_layers, c.n_heads, c.d_head, c.max_seq_len, n_streams)
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin tables (T, 1, dk // 2) for rows at `positions`."""
-        ang = positions.astype(np.float32)[:, None] * self._inv_freq[None, :]
-        return np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
-
-    @staticmethod
-    def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-        """Rotate (T, H, dk) by the tables' positions; odd trailing dim passes through."""
-        half = cos.shape[-1]
-        if half == 0:
-            return x
-        x1 = x[..., :half]
-        x2 = x[..., half : 2 * half]
-        out = x.copy()
-        out[..., :half] = x1 * cos - x2 * sin
-        out[..., half : 2 * half] = x2 * cos + x1 * sin
-        return out
+        """rope factors C = [cos, cos] and S = [-sin, sin] (T, 1, dk) for rows
+        at `positions`; 1 and 0 on an odd trailing dim, whose angle is 0."""
+        ang = positions.astype(np.float32)[:, None] * self._rope_freq
+        sn = np.sin(ang)
+        sn *= self._rope_sign
+        return np.cos(ang)[:, None], sn[:, None]
 
     def _embed_id(self, token_id: int) -> np.ndarray:
         if not 0 <= token_id < self.config.vocab_size:
@@ -220,32 +271,22 @@ class Engine:
 
     def step(
         self,
-        token: int | list[int] | np.ndarray,
+        tokens: list[int],
         cache: KvCache,
         layout: PromptLayout,
         policy: MaskPolicy | None = None,
         observer: AttnObserver | None = None,
     ) -> np.ndarray:
-        """Process one token per stream, appending one row to every layer's cache.
-
-        `token` is a token id or a d_model state vector for cache stream 0,
-        returning next-token logits (vocab,); or a list of B token ids for
-        streams [0, B), returning logits (B, vocab).
-        """
+        """Process one token id in each of cache streams [0, B), appending one
+        row to every layer's cache; returns next-token logits (B, vocab)."""
         c = self.config
         pos = cache.length
         if pos + 1 > c.max_seq_len:
             raise ContextOverflowError(f"sequence length {pos + 1} exceeds max_seq_len {c.max_seq_len}")
-        if isinstance(token, list):
-            if not 0 <= min(token) <= max(token) < c.vocab_size:
-                raise DataError(f"token ids {token} out of range for vocab {c.vocab_size}")
-            x = self.checkpoint["embedding"].take(token, axis=0)
-        else:
-            x = self._embed_id(token) if isinstance(token, (int, np.integer)) else np.asarray(token, np.float32)
-            if x.shape != (c.d_model,):
-                raise ConfigError(f"token state shape {x.shape} does not match d_model {c.d_model}")
-        logits = self._forward(x.reshape(-1, 1, c.d_model), cache, np.array([pos]), layout, policy, observer)[:, 0]
-        return logits if isinstance(token, list) else logits[0]
+        if not 0 <= min(tokens) <= max(tokens) < c.vocab_size:
+            raise DataError(f"token ids {tokens} out of range for vocab {c.vocab_size}")
+        x = self.checkpoint["embedding"].take(tokens, axis=0)
+        return self._forward(x[:, None], cache, np.array([pos]), layout, policy, observer)[:, 0]
 
     def prefill(
         self,
@@ -284,22 +325,20 @@ class Engine:
         `positions` (T,), through every block, appending their k/v rows to
         `cache`; returns logits (B, T, vocab)."""
         c = self.config
-        ck = self.checkpoint
         B, T = x.shape[:2]
         H, dk = c.n_heads, c.d_head
         x = x.reshape(B * T, c.d_model)  # rows stream-major, as the policy gets them
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
-        cos, sin = self._rope_tables(np.concatenate([positions] * B))  # one row per stream row
-        for layer in range(c.n_layers):
-            h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-            q = self._rope((h @ ck.layer(layer, "wq")).reshape(B * T, H, dk), cos, sin)
-            k = self._rope((h @ ck.layer(layer, "wk")).reshape(B * T, H, dk), cos, sin)
-            v = (h @ ck.layer(layer, "wv")).reshape(B, T, H, dk)
-            cache.extend(layer, k.reshape(B, T, H, dk), v)
+        cs, sn = self._rope_tables(positions)
+        for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
+            # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
+            qkv = np.matmul(rmsnorm(x, attn_norm), wqkv).reshape(3, B, T, H, dk)
+            q, k = _rope(qkv[:2], cs, sn, self._rope_perm)
+            cache.extend(layer, k, qkv[2])
             K = cache.keys(layer, B)  # (B, H, S, dk)
             # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
-            logits = np.matmul(q.reshape(B, T, H, dk).transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
-            masks = None if policy is None else policy(layer, q, K, logits, positions, layout)
+            logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+            masks = None if policy is None else policy(layer, q.reshape(B * T, H, dk), K, logits, positions, layout)
             logits *= self._inv_sqrt_dk
             if future is not None:
                 np.copyto(logits, np.float32(-np.inf), where=future)
@@ -309,8 +348,8 @@ class Engine:
                     observer(layer, w[b, :, 0], int(positions[0]))
             ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
             if masks is not None:
-                ctx = ctx * masks[:, :, None]
-            x = x + ctx.reshape(B * T, c.d_model) @ ck.layer(layer, "wo")
-            hf = rmsnorm(x, ck.layer(layer, "ffn_norm"))
-            x = x + gelu(hf @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
+                ctx *= masks[:, :, None]
+            x = x + ctx.reshape(B * T, c.d_model) @ wo
+            x = x + gelu(rmsnorm(x, ffn_norm) @ w1) @ w2
+        ck = self.checkpoint
         return (rmsnorm(x, ck["final_norm"]) @ ck["output"]).reshape(B, T, -1)

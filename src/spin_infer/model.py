@@ -77,35 +77,42 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class Checkpoint:
     """Immutable bundle of config + named float32 tensors.
 
-    Safe to share across concurrent generation streams: every array is
-    marked read-only after construction.
+    `data` is one flat buffer laid out as the file's data section: the
+    tensors in table order, each starting where the previous one ends. Every
+    tensor is a view of it. Safe to share across concurrent generation
+    streams: the buffer is marked read-only, and so is every view of it.
     """
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
-        expected = tensor_shapes(config)
-        if list(tensors) != list(expected):
-            raise DataError(
-                "checkpoint tensor names/order do not match config "
-                f"(expected {len(expected)} tensors, got {len(tensors)})"
-            )
-        for name, shape in expected.items():
-            t = tensors[name]
-            if tuple(t.shape) != shape:
-                raise DataError(f"tensor {name!r} has shape {tuple(t.shape)}, expected {shape}")
-            if t.dtype != np.float32:
-                raise DataError(f"tensor {name!r} has dtype {t.dtype}, expected float32")
+    def __init__(self, config: ModelConfig, data: np.ndarray):
+        shapes = tensor_shapes(config)
+        n = sum(math.prod(shape) for shape in shapes.values())
+        if data.dtype != np.float32 or data.shape != (n,):
+            raise DataError(f"checkpoint data is {data.dtype} {data.shape}, expected float32 ({n},) for its config")
+        data.setflags(write=False)  # before the views are taken, which inherit it
+        self.config = config
+        self.data = data
+        self.tensors: dict[str, np.ndarray] = {}
+        self._start: dict[str, int] = {}  # each tensor's first float in `data`
+        start = 0
+        for name, shape in shapes.items():
+            self._start[name] = start
+            self.tensors[name] = t = data[start : start + math.prod(shape)].reshape(shape)
+            start += t.size
             if not np.isfinite(t).all():
                 raise DataError(f"tensor {name!r} contains non-finite values")
-        self.config = config
-        self.tensors = dict(tensors)
-        for t in self.tensors.values():
-            t.setflags(write=False)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def layer(self, i: int, name: str) -> np.ndarray:
         return self.tensors[f"layers.{i}.{name}"]
+
+    def qkv(self, i: int) -> np.ndarray:
+        """Layer i's wq, wk and wv stacked (3, d, d): a view of `data`, where
+        the three are adjacent in table order."""
+        d = self.config.d_model
+        start = self._start[f"layers.{i}.wq"]
+        return self.data[start : start + 3 * d * d].reshape(3, d, d)
 
 
 def init_checkpoint(config: ModelConfig, seed: int) -> Checkpoint:
@@ -117,40 +124,31 @@ def init_checkpoint(config: ModelConfig, seed: int) -> Checkpoint:
     """
     rng = SplitMix64(seed)
     s = 1.0 / math.sqrt(config.d_model)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config).items():
-        if name.endswith("norm"):
-            tensors[name] = np.ones(shape, dtype=np.float32)
-            continue
-        n = int(np.prod(shape))
-        u = rng.uniforms(n)
-        tensors[name] = ((2.0 * u - 1.0) * s).astype(np.float32).reshape(shape)
-    return Checkpoint(config, tensors)
+    shapes = tensor_shapes(config)
+    data = np.empty(sum(math.prod(shape) for shape in shapes.values()), dtype=np.float32)
+    start = 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        data[start : start + n] = 1.0 if name.endswith("norm") else (2.0 * rng.uniforms(n) - 1.0) * s
+        start += n
+    return Checkpoint(config, data)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    table = []
-    offset = 0
-    blobs = []
-    for name, t in ckpt.tensors.items():
-        blob = np.ascontiguousarray(t, dtype="<f4").tobytes()
-        table.append({"name": name, "shape": list(t.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+    table = [{"name": name, "shape": list(t.shape), "offset": 4 * ckpt._start[name]} for name, t in ckpt.tensors.items()]
     header = json.dumps({"config": ckpt.config.to_dict(), "tensors": table}).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(np.ascontiguousarray(ckpt.data, dtype="<f4").data)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, validating its header against the file size first.
 
-    The tensor data is read once into one float32 buffer, and every loaded
-    tensor is a read-only view of it: no copy of the file's bytes is kept.
+    The tensor data is read once into one float32 buffer, which becomes the
+    checkpoint's `data`: no copy of the file's bytes is kept.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -179,7 +177,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         entries = header.get("tensors")
         if not isinstance(entries, list) or len(entries) != len(expected):
             raise DataError(f"{path}: tensor table does not match config-derived layout")
-        starts = []  # each tensor's first float in the data section
         end = 0
         for entry, name in zip(entries, expected):
             if not isinstance(entry, dict) or entry.get("name") != name:
@@ -192,7 +189,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise DataError(f"{path}: tensor {name!r} shape {shape} != expected {expected[name]}")
             if off != end:
                 raise DataError(f"{path}: tensor {name!r} offset {off} is not contiguous")
-            starts.append(off // 4)
             end = off + 4 * math.prod(shape)
             if end > data_len:
                 raise DataError(f"{path}: tensor {name!r} runs past end of file")
@@ -204,5 +200,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         got = fh.readinto(flat)
         if got != end:
             raise DataError(f"{path}: read {got} of {end} tensor data bytes")
-    tensors = {name: flat[o : o + math.prod(shape)].reshape(shape) for o, (name, shape) in zip(starts, expected.items())}
-    return Checkpoint(config, tensors)
+    return Checkpoint(config, flat)

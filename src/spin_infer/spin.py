@@ -107,7 +107,8 @@ def _head_ranks(scores: np.ndarray) -> np.ndarray:
 
 class MaskTraceWriter:
     """Streams per-step masks as JSONL: one meta line, then one line per
-    (query position, in-range layer). Thread safe."""
+    (query position, in-range layer), as `json.dumps` would write it. Each
+    policy call's lines go out in one write. Thread safe."""
 
     def __init__(self, fh: IO[str], n_layers: int, n_heads: int, config: SpinConfig):
         self._fh = fh
@@ -115,10 +116,18 @@ class MaskTraceWriter:
         meta = {"n_layers": n_layers, "n_heads": n_heads, "spin": config.to_dict()}
         fh.write(json.dumps({"meta": meta}) + "\n")
 
-    def write(self, position: int, layer: int, mask: np.ndarray) -> None:
-        line = json.dumps({"pos": int(position), "layer": int(layer), "mask": [float(m) for m in mask]})
+    def write(self, positions: np.ndarray, first: int, layer: int, masks: np.ndarray) -> None:
+        """Trace the mask rows (B*T, H) of one policy call at `positions` (T,),
+        stream-major, except each stream's first `first` rows."""
+        T = len(positions)
+        pos = positions.tolist()
+        lines = [
+            f'{{"pos": {pos[row % T]}, "layer": {layer}, "mask": [{", ".join(map(repr, mask))}]}}\n'
+            for row, mask in enumerate(masks.tolist())
+            if row % T >= first
+        ]
         with self._lock:
-            self._fh.write(line + "\n")
+            self._fh.write("".join(lines))
 
     def close(self) -> None:
         self._fh.close()
@@ -201,7 +210,5 @@ class SpinPolicy:
             masks = masks.reshape(-1, T - first, H)
             masks = np.concatenate([np.ones((len(masks), first, H), dtype=np.float32), masks], axis=1).reshape(-1, H)
         if self.trace is not None:
-            for row in range(len(masks)):
-                if row % T >= first:
-                    self.trace.write(int(positions[row % T]), layer, masks[row])
+            self.trace.write(positions, first, layer, masks)
         return masks

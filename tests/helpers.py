@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty, generate
-from spin_infer.engine import Engine, KvCache, MultimodalPrompt, _softmax, gelu, rmsnorm
+from spin_infer.engine import ROPE_BASE, Engine, KvCache, MultimodalPrompt
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.metrics import build_multiturn_context
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
@@ -37,9 +37,14 @@ def random_prompt(seed: int, config: ModelConfig, n_prefix=2, n_vision=4, n_suff
 
 
 def mutated(ck: Checkpoint, edits: dict[str, np.ndarray]) -> Checkpoint:
-    """Copy of a checkpoint with some tensors replaced (rigged test models)."""
-    tensors = {k: (edits[k] if k in edits else v).astype(np.float32) for k, v in ck.tensors.items()}
-    return Checkpoint(ck.config, tensors)
+    """Copy of a checkpoint with some tensors replaced (rigged test models),
+    built in one buffer in table order like a loaded one."""
+    parts = []
+    for name, t in ck.tensors.items():
+        new = np.asarray(edits.get(name, t), dtype=np.float32)
+        assert new.shape == t.shape, f"edit of {name} has shape {new.shape}, expected {t.shape}"
+        parts.append(new.ravel())
+    return Checkpoint(ck.config, np.concatenate(parts))
 
 
 def traced_peak(fn) -> int:
@@ -63,32 +68,91 @@ def copy_cache(cache: KvCache) -> KvCache:
     return copy.deepcopy(cache)
 
 
+# Plain formulas the engine's fast paths must match bit for bit: allocating,
+# one op per expression, and q, k, v from three separate matmuls.
+
+
+def ref_rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    return (x / np.sqrt(ms + np.float32(eps))) * gain
+
+
+def ref_gelu(x: np.ndarray) -> np.ndarray:
+    c = np.float32(0.7978845608028654)  # sqrt(2/pi)
+    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+
+
+def ref_softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_rope_tables(d_head: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables (T, 1, d_head // 2) for rows at `positions`."""
+    j = np.arange(d_head // 2, dtype=np.float64)
+    inv_freq = (ROPE_BASE ** (-2.0 * j / d_head)).astype(np.float32)
+    ang = positions.astype(np.float32)[:, None] * inv_freq[None, :]
+    return np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+
+
+def ref_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate (T, H, dk) by the tables' positions; odd trailing dim passes through."""
+    half = cos.shape[-1]
+    if half == 0:
+        return x
+    x1 = x[..., :half]
+    x2 = x[..., half : 2 * half]
+    out = x.copy()
+    out[..., :half] = x1 * cos - x2 * sin
+    out[..., half : 2 * half] = x2 * cos + x1 * sin
+    return out
+
+
+def ref_qkv(engine: Engine, layer: int, h: np.ndarray, cos, sin):
+    """Rotated q, k and plain v (T, H, dk) of normed rows h (T, d_model)."""
+    c, ck = engine.config, engine.checkpoint
+    shape = (len(h), c.n_heads, c.d_head)
+    q = ref_rope((h @ ck.layer(layer, "wq")).reshape(shape), cos, sin)
+    k = ref_rope((h @ ck.layer(layer, "wk")).reshape(shape), cos, sin)
+    return q, k, (h @ ck.layer(layer, "wv")).reshape(shape)
+
+
+def ref_block_out(engine: Engine, layer: int, x: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+    """Residual stream after layer's output projection of ctx and its FFN."""
+    ck = engine.checkpoint
+    x = x + ctx @ ck.layer(layer, "wo")
+    return x + ref_gelu(ref_rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
+
+
+def ref_logits(engine: Engine, x: np.ndarray) -> np.ndarray:
+    ck = engine.checkpoint
+    return ref_rmsnorm(x, ck["final_norm"]) @ ck["output"]
+
+
 def reference_step(engine: Engine, x, cache: KvCache, position: int):
     """One decode step of plain multi-head attention with no masking code
-    path, written out for a single query row; mirrors the engine's
-    operation order so the logits must agree bit-for-bit."""
+    path, written out for a single input row x (d_model,) with the plain
+    formulas above; the logits (vocab,) must agree with the engine's bit
+    for bit."""
     c = engine.config
     ck = engine.checkpoint
-    cos, sin = engine._rope_tables(np.array([position]))
+    cos, sin = ref_rope_tables(c.d_head, np.array([position]))
     for layer in range(c.n_layers):
-        h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(1, c.n_heads, c.d_head), cos, sin)
-        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(1, c.n_heads, c.d_head), cos, sin)
-        v = (h @ ck.layer(layer, "wv")).reshape(1, c.n_heads, c.d_head)
+        q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm"))[None], cos, sin)
         cache.extend(layer, k[None], v[None])
         K = cache.keys(layer)[0]
-        w = _softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
+        w = ref_softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
         ctx = np.matmul(w, cache.values(layer)[0])  # (H, 1, dk)
-        x = x + ctx.reshape(c.d_model) @ ck.layer(layer, "wo")
-        x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
-    return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+        x = ref_block_out(engine, layer, x, ctx.reshape(c.d_model))
+    return ref_logits(engine, x)
 
 
 def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, policy=None):
-    """Prefill of the prompt rows a one-stream cache lacks, with the
-    allocating score formula: scale by multiplication, mask future keys by
-    boolean indexing, then exp(z - max) / sum in fresh arrays. Every other
-    op mirrors the engine's, so the logits (T, vocab) must agree bit for bit."""
+    """Prefill of the prompt rows a one-stream cache lacks, with the plain
+    formulas above and the allocating score formula: scale by
+    multiplication, mask future keys by boolean indexing, then
+    exp(z - max) / sum in fresh arrays. The logits (T, vocab) must agree
+    with the engine's bit for bit."""
     c = engine.config
     ck = engine.checkpoint
     H, dk = c.n_heads, c.d_head
@@ -96,27 +160,22 @@ def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, 
     T = n - base
     positions = np.arange(base, n)
     future = np.arange(n)[None, :] > positions[:, None]
-    cos, sin = engine._rope_tables(positions)
+    cos, sin = ref_rope_tables(dk, positions)
     x = engine.embed_prompt(prompt, base)
     for layer in range(c.n_layers):
-        h = rmsnorm(x, ck.layer(layer, "attn_norm"))
-        q = engine._rope((h @ ck.layer(layer, "wq")).reshape(T, H, dk), cos, sin)
-        k = engine._rope((h @ ck.layer(layer, "wk")).reshape(T, H, dk), cos, sin)
-        v = (h @ ck.layer(layer, "wv")).reshape(1, T, H, dk)
-        cache.extend(layer, k[None], v)
+        q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm")), cos, sin)
+        cache.extend(layer, k[None], v[None])
         K = cache.keys(layer)
         raw = np.matmul(q[None].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
         masks = None if policy is None else policy(layer, q, K, raw, positions, prompt.layout())
         z = raw * engine._inv_sqrt_dk
         z[:, :, future] = -np.inf
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
+        w = ref_softmax(z)
         ctx = np.matmul(w, cache.values(layer)).transpose(0, 2, 1, 3).reshape(T, H, dk)
         if masks is not None:
             ctx = ctx * masks[:, :, None]
-        x = x + ctx.reshape(T, c.d_model) @ ck.layer(layer, "wo")
-        x = x + gelu(rmsnorm(x, ck.layer(layer, "ffn_norm")) @ ck.layer(layer, "w1")) @ ck.layer(layer, "w2")
-    return rmsnorm(x, ck["final_norm"]) @ ck["output"]
+        x = ref_block_out(engine, layer, x, ctx.reshape(T, c.d_model))
+    return ref_logits(engine, x)
 
 
 def hook_args(q: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +213,7 @@ def reference_beam(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfi
             if step < config.max_new_tokens:
                 child = copy_cache(live[i][2])
                 try:
-                    new_live.append((seq, score, child, engine.step(seq[-1], child, layout, policy)))
+                    new_live.append((seq, score, child, engine.step([seq[-1]], child, layout, policy)[0]))
                     continue
                 except ContextOverflowError:
                     truncated = True

@@ -365,8 +365,8 @@ def test_criterion_06_throughput_parity():
                 out.append(nxt)
                 if len(out) >= dcfg.max_new_tokens:
                     break
-                logits = engine.step(nxt, cache_a, layout)
-                engine.step(nxt, cache_b, layout)  # second pass per step
+                logits = engine.step([nxt], cache_a, layout)[0]
+                engine.step([nxt], cache_b, layout)  # second pass per step
             return len(out), time.perf_counter() - t0
 
         for warm in (lambda: run_plain(prompts[0], None),

@@ -50,7 +50,7 @@ class TestProfile:
         cache = engine.new_cache()
         logits = engine.prefill(prompt, cache)
         tok = int(np.argmax(logits))
-        engine.step(tok, cache, prompt.layout(), observer=observer)
+        engine.step([tok], cache, prompt.layout(), observer=observer)
 
         profile = profile_attention(engine, [prompt], dc)
         assert profile.vision[0] == pytest.approx(observed[0], abs=1e-6)
@@ -97,7 +97,7 @@ def write_trace(path, n_layers, n_heads, spin_cfg, rows):
     with open(path, "w", encoding="utf-8") as fh:
         writer = MaskTraceWriter(fh, n_layers, n_heads, spin_cfg)
         for pos, layer, mask in rows:
-            writer.write(pos, layer, np.asarray(mask, np.float32))
+            writer.write(np.array([pos]), 0, layer, np.asarray([mask], np.float32))
 
 
 class TestAggregateMasks:
@@ -161,6 +161,27 @@ class TestAggregateMasks:
         p = tmp_path / "t.jsonl"
         p.write_text("\n" + json.dumps(header) + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: "):
+            aggregate_masks([p])
+
+    @pytest.mark.parametrize("record", [
+        {"pos": 5, "layer": 1.7, "mask": [1, 0]},
+        {"pos": 5, "layer": True, "mask": [1, 0]},
+        {"pos": 5, "layer": "1", "mask": [1, 0]},
+        {"pos": 5.0, "layer": 1, "mask": [1, 0]},
+        {"pos": False, "layer": 1, "mask": [1, 0]},
+        {"pos": "5", "layer": 1, "mask": [1, 0]},
+        {"layer": 1, "mask": [1, 0]},
+        {"pos": 5, "layer": 1, "mask": ["1", 0]},
+        {"pos": 5, "layer": 1, "mask": [True, False]},
+        {"pos": 5, "layer": 1, "mask": [1, None]},
+        {"pos": 5, "layer": 1, "mask": [[1], [0]]},
+    ])
+    def test_malformed_record_rejected(self, tmp_path, record):
+        p = tmp_path / "t.jsonl"
+        write_trace(p, 1, 2, self.cfg(hi=1), [])
+        with open(p, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: bad trace record"):
             aggregate_masks([p])
 
     def test_end_to_end_with_policy(self, tmp_path):

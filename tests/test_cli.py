@@ -336,6 +336,17 @@ class TestProfileHeatmapTune:
         assert f"{trace_path}:1: meta.n_layers must be a positive integer" in err
         assert not (tmp_path / "heat.csv").exists()
 
+    def test_heatmap_malformed_record_exit_3(self, tmp_path, capsys):
+        trace_path = tmp_path / "masks.jsonl"
+        meta = {"meta": {"n_layers": 2, "n_heads": 2, "spin": {}}}
+        trace_path.write_text(json.dumps(meta) + "\n" + json.dumps({"pos": 3, "layer": True, "mask": [1, 0]}) + "\n")
+        code, _, err = run_cli(
+            capsys, "heatmap", "--traces", str(trace_path), "--out-prefix", str(tmp_path / "heat")
+        )
+        assert code == 3
+        assert f"{trace_path}:2: bad trace record: layer must be an integer" in err
+        assert not (tmp_path / "heat.csv").exists()
+
     def test_tune_command(self, workspace, tmp_path, capsys):
         cfg = workspace.run_config(
             tmp_path / "run.json",

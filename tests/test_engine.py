@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spin_infer.engine import Engine, MultimodalPrompt, _softmax, gelu, rmsnorm
+from spin_infer.engine import Engine, MultimodalPrompt, _rope, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
-from spin_infer.model import init_checkpoint
+from spin_infer.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
 from spin_infer.spin import SpinConfig, SpinPolicy
 
 from helpers import (
@@ -11,6 +13,10 @@ from helpers import (
     layer_lengths,
     mutated,
     random_prompt,
+    ref_gelu,
+    ref_qkv,
+    ref_rmsnorm,
+    ref_rope_tables,
     reference_prefill,
     reference_step,
     tiny_config,
@@ -62,7 +68,7 @@ class TestCache:
         engine.prefill(prompt, cache)
         assert cache.length == len(prompt)
         assert layer_lengths(cache) == (len(prompt),) * engine.config.n_layers
-        engine.step(3, cache, prompt.layout())
+        engine.step([3], cache, prompt.layout())
         assert layer_lengths(cache) == (len(prompt) + 1,) * engine.config.n_layers
 
     def test_prefill_10_plus_step(self, engine):
@@ -70,7 +76,7 @@ class TestCache:
         assert len(p) == 10
         cache = engine.new_cache()
         engine.prefill(p, cache)
-        engine.step(1, cache, p.layout())
+        engine.step([1], cache, p.layout())
         assert layer_lengths(cache) == (11,) * engine.config.n_layers
 
     def test_select_streams_independent_and_prompt_never_copied(self, engine, prompt):
@@ -105,9 +111,9 @@ class TestCache:
         p = random_prompt(0, engine.config, n_prefix=1, n_vision=2, n_suffix=2)
         cache = engine.new_cache()
         engine.prefill(p, cache)
-        engine.step(1, cache, p.layout())
+        engine.step([1], cache, p.layout())
         with pytest.raises(ContextOverflowError):
-            engine.step(1, cache, p.layout())
+            engine.step([1], cache, p.layout())
 
     def test_truncate_lengths_and_shared(self, engine, prompt):
         n = len(prompt)
@@ -161,7 +167,7 @@ class TestCache:
         layout = prompt.layout()
         cache = engine.new_cache()
         engine.prefill(prompt, cache)
-        engine.step(3, cache, layout)
+        engine.step([3], cache, layout)
         cache.truncate(0)
         again = engine.prefill(prompt, cache, return_all_logits=True)
         assert np.array_equal(again, engine.prefill(prompt, engine.new_cache(), return_all_logits=True))
@@ -171,7 +177,7 @@ class TestCache:
         engine.prefill(prompt, cache)
         with pytest.raises(ConfigError, match="nothing to prefill"):
             engine.prefill(prompt, cache)
-        engine.step(3, cache, prompt.layout())
+        engine.step([3], cache, prompt.layout())
         with pytest.raises(ConfigError, match="nothing to prefill"):
             engine.prefill(prompt, cache)
 
@@ -208,7 +214,7 @@ class TestAttentionStep:
             cache = engine.new_cache()
             chain = [engine.prefill(prompt, cache, policy, return_all_logits=True)]
             for tok in (3, 7):
-                chain.append(engine.step(tok, cache, layout, policy)[None, :])
+                chain.append(engine.step([tok], cache, layout, policy))
             runs.append(np.concatenate(chain))
         assert np.array_equal(runs[0], runs[1])
 
@@ -224,38 +230,42 @@ class TestAttentionStep:
             cache = eng.new_cache()
             chain = [eng.prefill(prompt, cache, policy, return_all_logits=True)]
             for tok in (3, 7):
-                chain.append(eng.step(tok, cache, layout, policy)[None, :])
+                chain.append(eng.step([tok], cache, layout, policy))
             runs.append(np.concatenate(chain))
         assert np.array_equal(runs[0], runs[1])
 
     def test_single_head_single_token_is_projected_value(self):
-        engine = tiny_engine(n_heads=1, d_model=8, d_ffn=8, n_layers=1)
-        c = engine.config
+        base = tiny_engine(n_heads=1, d_model=8, d_ffn=8, n_layers=1)
+        c = base.config
+        x = np.linspace(-1, 1, c.d_model).astype(np.float32)
+        emb = base.checkpoint["embedding"].copy()
+        emb[0] = x
+        engine = Engine(mutated(base.checkpoint, {"embedding": emb}))
         ck = engine.checkpoint
         weights = []
         cache = engine.new_cache()
         layout = MultimodalPrompt([], np.zeros((1, c.d_model), np.float32), []).layout()
-        x = np.linspace(-1, 1, c.d_model).astype(np.float32)
-        logits = engine.step(x, cache, layout, observer=lambda layer, w, pos: weights.append(w))
+        logits = engine.step([0], cache, layout, observer=lambda layer, w, pos: weights.append(w))
         # softmax over one scalar is exactly 1, so the attention output is v @ wo
         assert weights[0].tolist() == [[1.0]]
         v = cache.values(0)[0, 0, 0]
         h = x + v @ ck.layer(0, "wo")
-        h = h + gelu(rmsnorm(h, ck.layer(0, "ffn_norm")) @ ck.layer(0, "w1")) @ ck.layer(0, "w2")
-        assert np.array_equal(logits, rmsnorm(h, ck["final_norm"]) @ ck["output"])
+        h = h + ref_gelu(ref_rmsnorm(h, ck.layer(0, "ffn_norm")) @ ck.layer(0, "w1")) @ ck.layer(0, "w2")
+        assert np.array_equal(logits[0], ref_rmsnorm(h, ck["final_norm"]) @ ck["output"])
 
     def test_matches_reference_mha_exactly(self, engine, prompt):
         cache, layout, _ = prefill_and_layout(engine, prompt)
         ref_cache = copy_cache(cache)
         for tok in (4, 9, 2):
-            got = engine.step(tok, cache, layout)
+            got = engine.step([tok], cache, layout)
             want = reference_step(engine, engine.checkpoint["embedding"][tok], ref_cache, ref_cache.length)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got[0], want)
 
-    def test_dimension_mismatch_is_config_error(self, engine, prompt):
+    def test_token_out_of_vocab_rejected(self, engine, prompt):
         cache, layout, _ = prefill_and_layout(engine, prompt)
-        with pytest.raises(ConfigError):
-            engine.step(np.zeros(7, np.float32), cache, layout)
+        with pytest.raises(DataError):
+            engine.step([1, engine.config.vocab_size], cache, layout)
+        assert cache.length == len(prompt)
 
 
 class TestSoftmaxAndCausality:
@@ -267,7 +277,7 @@ class TestSoftmaxAndCausality:
 
         cache, layout, _ = prefill_and_layout(engine, prompt)
         for tok in (1, 2, 3):
-            engine.step(tok, cache, layout, observer=observer)
+            engine.step([tok], cache, layout, observer=observer)
         all_sums = np.concatenate(sums)
         assert np.abs(all_sums - 1.0).max() < 1e-6
 
@@ -285,8 +295,8 @@ class TestSoftmaxAndCausality:
     def test_logits_shape(self, engine, prompt):
         cache, layout, logits = prefill_and_layout(engine, prompt)
         assert logits.shape == (engine.config.vocab_size,)
-        step_logits = engine.step(0, cache, layout)
-        assert step_logits.shape == (engine.config.vocab_size,)
+        step_logits = engine.step([0], cache, layout)
+        assert step_logits.shape == (1, engine.config.vocab_size)
 
     def test_forward_determinism(self, engine, prompt):
         runs = []
@@ -295,7 +305,7 @@ class TestSoftmaxAndCausality:
             logits = engine.prefill(prompt, cache)
             chain = [logits]
             for tok in (4, 9):
-                chain.append(engine.step(tok, cache, prompt.layout()))
+                chain.append(engine.step([tok], cache, prompt.layout())[0])
             runs.append(np.stack(chain))
         assert np.array_equal(runs[0], runs[1])
 
@@ -306,11 +316,11 @@ class TestSoftmaxAndCausality:
         cache_a = engine.new_cache()
         logits_a = engine.prefill(p, cache_a)
 
+        # one row per forward, as a decode step runs it; vision rows have no token id
         cache_b = engine.new_cache()
-        rows = engine.embed_prompt(p)
         layout = p.layout()
-        for row in rows:
-            logits_b = engine.step(row, cache_b, layout)
+        for pos, row in enumerate(engine.embed_prompt(p)):
+            logits_b = engine._forward(row[None, None], cache_b, np.array([pos]), layout, None, None)[0, 0]
         assert np.allclose(logits_a, logits_b, atol=1e-4)
         assert int(np.argmax(logits_a)) == int(np.argmax(logits_b))
 
@@ -380,3 +390,66 @@ class TestNumerics:
         w = _softmax(z)
         assert w is z
         assert np.array_equal(w, want)
+
+
+@st.composite
+def head_layouts(draw):
+    """(d_model, n_heads) with d_model in [8, 96] and n_heads dividing it."""
+    d_model = draw(st.integers(8, 96))
+    return d_model, draw(st.sampled_from([h for h in range(1, d_model + 1) if d_model % h == 0]))
+
+
+class TestFastPathFormulas:
+    """The forward's norm, GELU, stacked q/k/v projection and in-place rope
+    against the plain formulas in `helpers`, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=head_layouts(), rows=st.integers(1, 64), scale=st.sampled_from([1e-3, 1.0, 40.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(layout=(24, 8), rows=1, scale=1.0, seed=0)  # d_head 3
+    @example(layout=(40, 8), rows=64, scale=1.0, seed=1)  # d_head 5
+    @example(layout=(96, 32), rows=7, scale=40.0, seed=2)  # d_head 3
+    @example(layout=(8, 8), rows=5, scale=1.0, seed=3)  # d_head 1: no rotated pair
+    def test_bitwise_equal_to_plain_formulas(self, layout, rows, scale, seed):
+        d_model, n_heads = layout
+        config = ModelConfig(n_layers=1, n_heads=n_heads, d_model=d_model, d_ffn=8, vocab_size=4, max_seq_len=2)
+        engine = Engine(init_checkpoint(config, seed % 97))
+        rng = np.random.default_rng(seed)
+        x = (scale * rng.standard_normal((rows, d_model))).astype(np.float32)
+        gain = rng.standard_normal(d_model).astype(np.float32)
+        assert np.array_equal(rmsnorm(x, gain), ref_rmsnorm(x, gain))
+        assert np.array_equal(gelu(x.copy()), ref_gelu(x))
+
+        positions = rng.integers(0, 4096, rows)
+        h = ref_rmsnorm(x, engine.checkpoint.layer(0, "attn_norm"))
+        wqkv = engine._layers[0][1]
+        qkv = np.matmul(h, wqkv).reshape(3, 1, rows, n_heads, config.d_head)
+        cs, sn = engine._rope_tables(positions)
+        _rope(qkv[:2], cs, sn, engine._rope_perm)
+        want = ref_qkv(engine, 0, h, *ref_rope_tables(config.d_head, positions))
+        for got, ref in zip(qkv[:, 0], want):
+            assert np.array_equal(got, ref)
+
+
+CRITERION_6 = ModelConfig(n_layers=8, n_heads=8, d_model=256, d_ffn=1024, vocab_size=512, max_seq_len=704)
+
+
+class TestNoWeightCopy:
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("c6") / "model.spnm"
+        save_checkpoint(init_checkpoint(CRITERION_6, 123), path)
+        return load_checkpoint(path)
+
+    def test_qkv_stack_is_a_view_of_the_checkpoint_buffer(self, loaded):
+        engine = Engine(loaded)
+        for i, layer in enumerate(engine._layers):
+            wqkv = layer[1]
+            assert wqkv.shape == (3, 256, 256) and not wqkv.flags.writeable
+            assert np.shares_memory(wqkv, loaded.data)
+            for w, name in zip(wqkv, ("wq", "wk", "wv")):
+                assert np.array_equal(w, loaded.layer(i, name))
+
+    def test_engine_allocates_no_weights(self, loaded):
+        Engine(loaded)  # first-call caches are not the construction's
+        assert traced_peak(lambda: Engine(loaded)) < 100_000

@@ -1,13 +1,21 @@
+import contextlib
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin_infer import cli
+from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
 from spin_infer.decoding import DecodeConfig, generate
 from spin_infer.engine import Engine, MultimodalPrompt
+from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
-from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
+from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy, build_mask, kept_count
 
 from helpers import (
     e1_vision,
@@ -428,3 +436,83 @@ class TestHookDifferential:
         # at base > 0 and its first rows are still unmaskable
         stats = self.run(strategy, DecodeConfig(max_new_tokens=4, eos_id=None), truncate_to=7)
         assert (1, 6, 7) in stats["calls"]
+
+
+class RecordingWriter(MaskTraceWriter):
+    """A trace writer that also keeps every call's arguments."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def write(self, positions, first, layer, masks):
+        self.calls.append((positions.copy(), first, layer, masks.copy()))
+        super().write(positions, first, layer, masks)
+
+
+def json_dumps_lines(positions, first, layer, masks) -> str:
+    """The trace lines of one policy call as per-row `json.dumps` writes them."""
+    T = len(positions)
+    return "".join(
+        json.dumps({"pos": int(positions[row % T]), "layer": int(layer), "mask": [float(m) for m in masks[row]]}) + "\n"
+        for row in range(len(masks)) if row % T >= first
+    )
+
+
+class TestMaskTrace:
+    def test_bytes_equal_per_row_json_dumps(self):
+        """alpha 0.3 (a non-dyadic float32 repr), prefill calls whose first
+        rows precede the vision span's end, and 3-beam decode calls."""
+        engine = tiny_engine(seed=2)
+        c = engine.config
+        cfg = spin(r=0.5, alpha=0.3, lo=1, hi=2)
+        fh = io.StringIO()
+        writer = RecordingWriter(fh, c.n_layers, c.n_heads, cfg)
+        prompt = random_prompt(3, c, n_prefix=2, n_vision=4, n_suffix=3)
+        generate(engine, prompt, DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=5, eos_id=None),
+                 make_policy(cfg, engine, writer))
+        meta = json.dumps({"meta": {"n_layers": c.n_layers, "n_heads": c.n_heads, "spin": cfg.to_dict()}}) + "\n"
+        assert fh.getvalue() == meta + "".join(json_dumps_lines(*call) for call in writer.calls)
+        assert any(first > 0 for _, first, _, _ in writer.calls)
+        assert any(len(masks) == 3 * len(positions) for positions, _, _, masks in writer.calls)
+        assert "0.30000001192092896" in fh.getvalue()  # repr of float32(0.3)
+
+    def test_one_write_per_policy_call(self):
+        writes = []
+
+        class File(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writer = MaskTraceWriter(File(), 2, 2, spin(hi=2))
+        masks = np.array([[1, 0], [0, 1], [1, 0], [1, 1]], np.float32)  # 2 streams x 2 rows
+        writer.write(np.array([7, 8]), 1, 2, masks)
+        assert writes[1:] == [json_dumps_lines(np.array([7, 8]), 1, 2, masks)]
+        assert writes[1].count("\n") == 2
+
+    def test_quick_start_eval_trace_unchanged(self, tmp_path):
+        """The README quick-start eval (CHAIR and multi-turn POPE over 20
+        images, SPIN r 0.25 on all 4 layers) writes the same mask trace
+        bytes as before trace lines were batched per policy call."""
+        paths = generate_synthetic_corpus(
+            SyntheticCorpusSpec(n_images=20, span_len=48, embed_dim=64, n_objects=24, objects_per_image=3, seed=7),
+            tmp_path,
+        )
+        model = ModelConfig(n_layers=4, n_heads=8, d_model=64, d_ffn=256, vocab_size=len(TokenTable.load(paths.tokens)),
+                            max_seq_len=512)
+        save_checkpoint(init_checkpoint(model, 1), tmp_path / "model.spnm")
+        config = {
+            "model": {"checkpoint": "model.spnm"},
+            "spin": {"strategy": "image_attention", "r": 0.25, "alpha": 0.0, "layer_range": [1, 4],
+                     "apply_to": "all_text_queries"},
+            "decode": {"strategy": "greedy", "max_new_tokens": 32, "eos_id": 0, "seed": 7},
+            "eval": {"corpus": "corpus.jsonl", "vocab": "vocab.tsv", "tokens": "tokens.json",
+                     "chair": True, "pope": True, "pope_mode": "multi_turn", "workers": 1},
+            "output": {"report_json": "report.json", "trace_masks": "masks.jsonl"},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", "--config", str(tmp_path / "run.json")]) == 0
+        digest = hashlib.sha256((tmp_path / "masks.jsonl").read_bytes()).hexdigest()
+        assert digest == "2b420ff7d5223a346c2718dccffc75b593ab3bcbdd55809eda7a4fadfcee139e"
