@@ -9,13 +9,13 @@ sums used to rank heads for suppression.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import schema
 from .decoding import DecodeConfig, generate
 from .engine import Engine, MaskPolicy, MultimodalPrompt
 from .errors import ConfigError, DataError
@@ -38,11 +38,7 @@ class AttentionProfile:
             w.writerows(self.to_rows())
 
     def to_dict(self) -> dict:
-        return {
-            "vision": [float(x) for x in self.vision],
-            "text": [float(x) for x in self.text],
-            "n_steps": self.n_steps,
-        }
+        return {"vision": self.vision.tolist(), "text": self.text.tolist(), "n_steps": self.n_steps}
 
 
 def profile_attention(
@@ -96,54 +92,53 @@ class MaskHeatmap:
                     w.writerow([l + 1, h, float(self.values[l, h])])
 
     def to_dict(self) -> dict:
-        return {
-            "values": [[float(x) for x in row] for row in self.values],
-            "steps_per_layer": [int(x) for x in self.steps_per_layer],
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-        }
+        return {**asdict(self), "values": self.values.tolist(), "steps_per_layer": self.steps_per_layer.tolist()}
 
 
-def _read_trace(path: str | Path):
-    meta = None
-    kept = None
-    steps = None
+@dataclass(frozen=True)
+class TraceMeta:
+    n_layers: int
+    n_heads: int
+    spin: dict | None = None
+
+    def __post_init__(self):
+        if min(self.n_layers, self.n_heads) < 1:
+            raise DataError(f"n_layers and n_heads must be >= 1, got {self.n_layers} and {self.n_heads}")
+
+
+@dataclass(frozen=True)
+class TraceHeader:  # a trace's first line
+    meta: TraceMeta
+
+
+@dataclass
+class TraceRecord:  # one mask row: query position, 1-indexed layer, a multiplier per head
+    pos: int
+    layer: int
+    mask: list[float]
+
+
+def _read_trace(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer x head kept counts and per layer step counts of one trace."""
+    meta = kept = steps = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        for lineno, text in enumerate(fh, start=1):
+            if text.isspace():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: bad trace line: {e}") from e
             if meta is None:
-                meta = obj.get("meta") if isinstance(obj, dict) else None
-                if not isinstance(meta, dict):
-                    raise DataError(f"{path}:{lineno}: first trace line must carry the meta header object")
-                for key in ("n_layers", "n_heads"):
-                    n = meta.get(key)
-                    if type(n) is not int or n < 1:  # a JSON integer: not a bool, not a float
-                        raise DataError(f"{path}:{lineno}: meta.{key} must be a positive integer, got {n!r}")
-                kept = np.zeros((meta["n_layers"], meta["n_heads"]), dtype=np.int64)
-                steps = np.zeros(meta["n_layers"], dtype=np.int64)
+                meta = schema.load(TraceHeader, text, str(path), DataError, lineno).meta
+                kept = np.zeros((meta.n_layers, meta.n_heads), dtype=np.int64)
+                steps = np.zeros(meta.n_layers, dtype=np.int64)
                 continue
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: bad trace record: not an object")
-            for key in ("pos", "layer"):  # JSON integers: not bools, not floats
-                if type(obj.get(key)) is not int:
-                    raise DataError(f"{path}:{lineno}: bad trace record: {key} must be an integer, got {obj.get(key)!r}")
-            mask = obj.get("mask")
-            if not isinstance(mask, list) or any(type(m) not in (int, float) for m in mask):
-                raise DataError(f"{path}:{lineno}: bad trace record: mask must be a list of numbers, got {mask!r}")
-            layer = obj["layer"] - 1
-            if not 0 <= layer < kept.shape[0] or len(mask) != kept.shape[1]:
+            rec = schema.load(TraceRecord, text, str(path), DataError, lineno)
+            layer = rec.layer - 1
+            if not 0 <= layer < meta.n_layers or len(rec.mask) != meta.n_heads:
                 raise DataError(f"{path}:{lineno}: trace record shape does not match meta header")
-            kept[layer] += np.array(mask, dtype=np.float64) == 1.0
+            kept[layer] += np.array(rec.mask, dtype=np.float64) == 1.0
             steps[layer] += 1
     if meta is None:
         raise DataError(f"{path}: empty mask trace")
-    return meta, kept, steps
+    return kept, steps
 
 
 def aggregate_masks(paths: Sequence[str | Path]) -> MaskHeatmap:
@@ -154,20 +149,14 @@ def aggregate_masks(paths: Sequence[str | Path]) -> MaskHeatmap:
     """
     if not paths:
         raise DataError("aggregate_masks needs at least one trace file")
-    shape = None
-    kept_total = steps_total = None
-    for path in paths:
-        meta, kept, steps = _read_trace(path)
-        this_shape = (int(meta["n_layers"]), int(meta["n_heads"]))
-        if shape is None:
-            shape = this_shape
-            kept_total = kept
-            steps_total = steps
-        elif this_shape != shape:
-            raise DataError(f"{path}: trace shape {this_shape} does not match {shape}")
-        else:
-            kept_total += kept
-            steps_total += steps
+    kept_total, steps_total = _read_trace(paths[0])
+    shape = kept_total.shape
+    for path in paths[1:]:
+        kept, steps = _read_trace(path)
+        if kept.shape != shape:
+            raise DataError(f"{path}: trace shape {kept.shape} does not match {shape}")
+        kept_total += kept
+        steps_total += steps
     values = np.ones(shape, dtype=np.float64)
     traced = steps_total > 0
     values[traced] = kept_total[traced] / steps_total[traced, None]
@@ -198,12 +187,7 @@ class SweepEntry:
     satisfies_constraint: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "metrics": dict(self.metrics),
-            "objective": self.objective,
-            "satisfies_constraint": self.satisfies_constraint,
-        }
+        return {**asdict(self), "config": self.config.to_dict()}
 
 
 @dataclass
@@ -217,11 +201,7 @@ class SweepStage:
         return self.entries[self.selected_index]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "entries": [e.to_dict() for e in self.entries],
-            "selected_index": self.selected_index,
-        }
+        return {**asdict(self), "entries": [e.to_dict() for e in self.entries]}
 
 
 @dataclass
@@ -233,13 +213,7 @@ class SweepResult:
     tradeoff_lambda: float
 
     def to_dict(self) -> dict:
-        return {
-            "baseline": dict(self.baseline),
-            "stages": [s.to_dict() for s in self.stages],
-            "selected": self.selected.to_dict(),
-            "f1_drop_limit": self.f1_drop_limit,
-            "tradeoff_lambda": self.tradeoff_lambda,
-        }
+        return {**asdict(self), "stages": [s.to_dict() for s in self.stages], "selected": self.selected.to_dict()}
 
 
 EvalFn = Callable[[SpinConfig | None], Mapping[str, float]]

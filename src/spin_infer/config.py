@@ -1,25 +1,20 @@
 """Run configuration: one JSON file, strict validation, env overrides.
 
-One reader, `_section`, builds the `decode`, `eval`, `output` and
-`model.init.config` sections (and `load_checkpoint` reads a checkpoint
-header's model config with it): it rejects unknown keys and missing required
-fields, checks each value's JSON type against the dataclass annotation, and
-leaves range checks to the dataclass's `__post_init__`. Any key can be
+The file is read by `schema` into `RunConfig` and its section dataclasses,
+so every problem is a ConfigError naming the dotted key. Any key can be
 overridden with SPIN__SECTION__KEY environment variables (e.g.
 SPIN__DECODE__SEED=7); values are parsed as JSON with a plain-string
-fallback. Relative paths resolve against the config file's directory.
-Validation failures name the offending dotted key. A spin file goes
-through the same JSON file reader.
+fallback. Relative paths resolve against the config file's directory. A
+spin file goes through the same reader.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import schema
 from .decoding import DecodeConfig
 from .errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError
 from .model import ModelConfig
@@ -28,16 +23,25 @@ from .spin import SpinConfig
 SECTIONS = ("model", "spin", "decode", "eval", "output")
 
 
+def _require(cond: bool, key: str, msg: str):
+    if not cond:
+        raise ConfigError(f"{key}: {msg}")
+
+
+@dataclass(frozen=True)
+class ModelInit:
+    seed: int
+    config: ModelConfig
+
+
 @dataclass(frozen=True)
 class ModelSection:
     checkpoint: str | None = None
-    init_seed: int | None = None
-    init_config: ModelConfig | None = None
+    init: ModelInit | None = None
 
-    def to_dict(self) -> dict:
-        if self.checkpoint is not None:
-            return {"checkpoint": self.checkpoint}
-        return {"init": {"seed": self.init_seed, "config": self.init_config.to_dict()}}
+    def __post_init__(self):
+        _require((self.checkpoint is None) != (self.init is None), "model",
+                 "exactly one of 'checkpoint' and 'init' must be present")
 
 
 @dataclass(frozen=True)
@@ -53,16 +57,13 @@ class EvalSection:
     max_records: int | None = None
 
     def __post_init__(self):
-        if self.pope_mode not in ("multi_turn", "single_turn"):
-            raise ConfigError(
-                f"eval.pope_mode must be 'multi_turn' or 'single_turn', got {self.pope_mode!r}"
-            )
-        if self.workers < 1:
-            raise ConfigError(f"eval.workers must be >= 1, got {self.workers}")
-        if self.pope_max_new_tokens < 1:
-            raise ConfigError(f"eval.pope_max_new_tokens must be >= 1, got {self.pope_max_new_tokens}")
-        if self.max_records is not None and self.max_records < 1:
-            raise ConfigError(f"eval.max_records must be >= 1 or null, got {self.max_records}")
+        _require(self.pope_mode in ("multi_turn", "single_turn"), "eval.pope_mode",
+                 f"must be 'multi_turn' or 'single_turn', got {self.pope_mode!r}")
+        _require(self.workers >= 1, "eval.workers", f"must be >= 1, got {self.workers}")
+        _require(self.pope_max_new_tokens >= 1, "eval.pope_max_new_tokens",
+                 f"must be >= 1, got {self.pope_max_new_tokens}")
+        _require(self.max_records is None or self.max_records >= 1, "eval.max_records",
+                 f"must be >= 1 or null, got {self.max_records}")
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,14 @@ class OutputSection:
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelSection
-    decode: DecodeConfig
+    decode: DecodeConfig = field(default_factory=DecodeConfig)
     spin: SpinConfig | None = None
     eval: EvalSection | None = None
     output: OutputSection = field(default_factory=OutputSection)
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model.to_dict(),
+            "model": {k: v for k, v in asdict(self.model).items() if v is not None},
             "spin": self.spin.to_dict() if self.spin else None,
             "decode": asdict(self.decode),
             "eval": asdict(self.eval) if self.eval else None,
@@ -102,144 +103,55 @@ def _apply_env_overrides(raw: dict, environ=None) -> dict:
         if section not in SECTIONS:
             raise ConfigError(f"bad override variable {key}: unknown section {section!r}")
         try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        node = raw.setdefault(section, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot override {key}: section {section!r} is not an object")
-        for p in parts[1:-1]:
-            node = node.setdefault(p.lower(), {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot override {key}: {p.lower()!r} is not an object")
+            parsed = schema.parse(value, key, ConfigSyntaxError)
+        except ConfigSyntaxError:
+            parsed = value  # not JSON: a plain string
+        node, dotted = raw, []
+        for name in [section] + [q.lower() for q in parts[1:-1]]:
+            dotted.append(name)
+            node = schema.read(dict, node.setdefault(name, {}), ".".join(dotted), ConfigError, key)
         node[parts[-1].lower()] = parsed
     return raw
 
 
-def _require(cond: bool, key: str, msg: str):
-    if not cond:
-        raise ConfigError(f"{key}: {msg}")
-
-
-def _check_type(value, hint, key: str) -> None:
-    """`value` must be a JSON value of a type `hint` allows."""
-    allowed = typing.get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        ok = bool in allowed
-    else:
-        ok = isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
-    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-    _require(ok, key, f"expected {names}, got {value!r}")
-
-
-def _section(cls, raw, key: str):
-    """Build dataclass `cls` from the JSON object `raw` of section `key`."""
-    _require(isinstance(raw, dict), key, "must be an object")
-    hints = typing.get_type_hints(cls)
-    known = {f.name: f for f in fields(cls)}
-    extra = set(raw) - set(known)
-    _require(not extra, key, f"unknown keys: {sorted(extra)}")
-    for name, f in known.items():
-        if name in raw:
-            _check_type(raw[name], hints[name], f"{key}.{name}")
-        else:
-            _require(f.default is not MISSING, f"{key}.{name}", "missing")
-    try:
-        return cls(**raw)
-    except ConfigError as e:
-        raise ConfigError(f"{key}: {e}") from e
-
-
-def _resolve_path(base: Path, p: str) -> str:
-    return str((base / p).resolve()) if not Path(p).is_absolute() else p
-
-
-def _parse_model(raw, base: Path) -> ModelSection:
-    _require(isinstance(raw, dict), "model", "must be an object")
-    extra = set(raw) - {"checkpoint", "init"}
-    _require(not extra, "model", f"unknown keys: {sorted(extra)}")
-    has_ckpt = raw.get("checkpoint") is not None
-    has_init = raw.get("init") is not None
-    _require(has_ckpt != has_init, "model", "exactly one of 'checkpoint' and 'init' must be present")
-    if has_ckpt:
-        _check_type(raw["checkpoint"], str, "model.checkpoint")
-        path = _resolve_path(base, raw["checkpoint"])
-        if not Path(path).is_file():
-            raise ConfigError(f"model.checkpoint: file not found: {path}")
-        return ModelSection(checkpoint=path)
-    init = raw["init"]
-    _require(isinstance(init, dict), "model.init", "must be an object")
-    extra = set(init) - {"seed", "config"}
-    _require(not extra, "model.init", f"unknown keys: {sorted(extra)}")
-    _require("seed" in init, "model.init.seed", "missing")
-    _check_type(init["seed"], int, "model.init.seed")
-    _require("config" in init, "model.init.config", "missing")
-    mc = _section(ModelConfig, init["config"], "model.init.config")
-    return ModelSection(init_seed=init["seed"], init_config=mc)
-
-
-def _parse_spin(raw) -> SpinConfig:
-    _require(isinstance(raw, dict), "spin", "must be an object")
-    hints = typing.get_type_hints(SpinConfig)
-    for name, value in raw.items():
-        if name == "layer_range":
-            _require(isinstance(value, list) and len(value) == 2, "spin.layer_range",
-                     f"expected [lo, hi], got {value!r}")
-            for v in value:
-                _check_type(v, int, "spin.layer_range")
-        elif name in hints:
-            _check_type(value, hints[name], f"spin.{name}")
-    try:
-        return SpinConfig.from_dict(raw)
-    except ConfigError as e:
-        raise ConfigError(f"spin: {e}") from e
-
-
-def _parse_eval(raw, base: Path) -> EvalSection:
-    ev = _section(EvalSection, raw, "eval")
-    paths = {n: _resolve_path(base, getattr(ev, n)) for n in ("corpus", "vocab", "tokens")}
-    for n, path in paths.items():
-        _require(Path(path).is_file(), f"eval.{n}", f"file not found: {path}")
-    return replace(ev, **paths)
-
-
-def _parse_output(raw, base: Path) -> OutputSection:
-    out = _section(OutputSection, raw, "output")
-    return replace(out, **{n: _resolve_path(base, p) for n, p in asdict(out).items() if p is not None})
+def _spin_fields(raw) -> dict:
+    """A spin section's keys as SpinConfig fields: the file writes the layer
+    range as `layer_range` [lo, hi], not as `layer_lo` and `layer_hi`."""
+    raw = dict(schema.read(dict, raw, "spin", ConfigError))
+    _require(not raw.keys() & {"layer_lo", "layer_hi"}, "spin",
+             f"unknown keys: {sorted(raw.keys() & {'layer_lo', 'layer_hi'})}")
+    lo_hi = schema.read(list[int], raw.pop("layer_range", [1, 1]), "spin.layer_range", ConfigError)
+    _require(len(lo_hi) == 2, "spin.layer_range", f"expected [lo, hi], got {lo_hi!r}")
+    return {**raw, "layer_lo": lo_hi[0], "layer_hi": lo_hi[1]}
 
 
 def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> RunConfig:
-    """Validate a raw config dict (already parsed from JSON)."""
-    raw = _apply_env_overrides(dict(raw), environ)
-    extra = set(raw) - set(SECTIONS)
-    _require(not extra, "config", f"unknown sections: {sorted(extra)}")
-    _require("model" in raw, "model", "section missing")
-    base = Path(base_dir)
-    given = {k: v for k, v in raw.items() if v is not None}
-    return RunConfig(
-        model=_parse_model(raw["model"], base),
-        spin=_parse_spin(given["spin"]) if "spin" in given else None,
-        decode=_section(DecodeConfig, given.get("decode", {}), "decode"),
-        eval=_parse_eval(given["eval"], base) if "eval" in given else None,
-        output=_parse_output(given.get("output", {}), base),
-    )
+    """Validate a raw config dict (already parsed from JSON); a null section
+    is an absent one."""
+    raw = {k: v for k, v in _apply_env_overrides(dict(raw), environ).items() if v is not None}
+    if "spin" in raw:
+        raw["spin"] = _spin_fields(raw["spin"])
+    cfg = schema.read(RunConfig, raw, "", ConfigError)
+
+    def resolve(key: str, p: str, must_exist: bool = True) -> str:
+        path = p if Path(p).is_absolute() else str((Path(base_dir) / p).resolve())
+        _require(not must_exist or Path(path).is_file(), key, f"file not found: {path}")
+        return path
+
+    model, ev, out = cfg.model, cfg.eval, cfg.output
+    if model.checkpoint is not None:
+        model = replace(model, checkpoint=resolve("model.checkpoint", model.checkpoint))
+    if ev is not None:
+        ev = replace(ev, **{n: resolve(f"eval.{n}", getattr(ev, n)) for n in ("corpus", "vocab", "tokens")})
+    out = replace(out, **{n: resolve(n, p, False) for n, p in asdict(out).items() if p is not None})
+    return replace(cfg, model=model, eval=ev, output=out)
 
 
 def _read_json(path: Path, what: str) -> dict:
     """Parse a JSON file whose top level must be one object."""
     if not path.is_file():
         raise ConfigNotFoundError(f"{what} file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    try:
-        raw, end = json.JSONDecoder().raw_decode(text)
-    except json.JSONDecodeError as e:
-        raise ConfigSyntaxError(f"{path}:{e.lineno}: {e.msg}") from e
-    if text[end:].strip():
-        lineno = text[:end].count("\n") + 1
-        raise ConfigSyntaxError(f"{path}:{lineno}: trailing garbage after {what} object")
-    if not isinstance(raw, dict):
-        raise ConfigSyntaxError(f"{path}: top level must be a JSON object")
-    return raw
+    return schema.load(dict, path.read_text(encoding="utf-8"), str(path), ConfigSyntaxError)
 
 
 def load_run_config(path: str | Path, environ=None) -> RunConfig:
@@ -250,4 +162,4 @@ def load_run_config(path: str | Path, environ=None) -> RunConfig:
 def load_spin_config(path: str | Path) -> SpinConfig:
     """Read a spin file: a bare spin section or an object with a "spin" key."""
     raw = _read_json(Path(path), "spin config")
-    return _parse_spin(raw.get("spin", raw))
+    return schema.read(SpinConfig, _spin_fields(raw.get("spin", raw)), "spin", ConfigError)

@@ -11,11 +11,12 @@ co-occurs most with the planted set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DataError
 from .metrics import ObjectVocabulary, PopeItem, caption_words
 from .prng import SplitMix64, derive_seed
@@ -78,17 +79,20 @@ FILLER_WORDS = ["and", "some", "on", "near", "next", "to", "with", "an", "of"]
 EOS_TOKEN = "</s>"
 
 
+@dataclass
 class TokenTable:
-    """Toy id<->word table standing in for a tokenizer."""
+    """Toy id<->word table standing in for a tokenizer; its file is the JSON
+    object {"tokens": [...], "eos_id": 0}."""
 
-    def __init__(self, tokens: list[str], eos_id: int = 0):
-        if len(set(tokens)) != len(tokens):
+    tokens: list[str]
+    eos_id: int = 0
+
+    def __post_init__(self):
+        if len(set(self.tokens)) != len(self.tokens):
             raise DataError("token table contains duplicate entries")
-        if not 0 <= eos_id < len(tokens):
-            raise DataError(f"eos_id {eos_id} outside token table of size {len(tokens)}")
-        self.tokens = list(tokens)
-        self.eos_id = eos_id
-        self._ids = {w: i for i, w in enumerate(tokens)}
+        if not 0 <= self.eos_id < len(self.tokens):
+            raise DataError(f"eos_id {self.eos_id} outside token table of size {len(self.tokens)}")
+        self._ids = {w: i for i, w in enumerate(self.tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -114,21 +118,12 @@ class TokenTable:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"tokens": self.tokens, "eos_id": self.eos_id}, fh)
+            json.dump(asdict(self), fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenTable":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                d = json.load(fh)
-            tokens, eos_id = d["tokens"], d.get("eos_id", 0)
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise DataError(f"{path}: bad token table: tokens must be a JSON list of strings")
-            if type(eos_id) is not int:
-                raise DataError(f"{path}: bad token table: eos_id must be a JSON integer, got {eos_id!r}")
-            return cls(tokens, eos_id)
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
-            raise DataError(f"{path}: bad token table: {e}") from e
+        with open(path, encoding="utf-8") as fh:
+            return schema.load(cls, fh.read(), str(path), DataError)
 
 
 @dataclass(frozen=True)
@@ -166,6 +161,27 @@ class CorpusRecord:
     prompt_ids: list[int]
     gt_objects: list[str]
     pope: list[PopeItem]
+
+
+@dataclass
+class PopeEntry:  # one POPE probe of a corpus line
+    object: str
+    gold: str
+    split: str
+
+
+@dataclass
+class CorpusLine:  # one line of a corpus JSONL file
+    id: str
+    vision_embeddings: list[list[float]]
+    prompt_ids: list[int]
+    gt_objects: list[str]
+    pope: list[PopeEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        rows = self.vision_embeddings
+        if not rows or len(set(map(len, rows))) > 1:
+            raise DataError("vision_embeddings must be a non-empty 2-D array")
 
 
 @dataclass
@@ -269,17 +285,9 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
                         no_obj = max(non_planted, key=lambda j: (counts[j], -j))
                     else:
                         no_obj = max(non_planted, key=lambda j: (cooc[j, objs].sum(), -j))
-                    pope.append({"object": names[yes_obj], "gold": "yes", "split": split})
-                    pope.append({"object": names[no_obj], "gold": "no", "split": split})
-
-            rec = {
-                "id": f"img{i:04d}",
-                "vision_embeddings": [[float(x) for x in row] for row in vision],
-                "prompt_ids": instruction_ids,
-                "gt_objects": [names[j] for j in objs],
-                "pope": pope,
-            }
-            fh.write(json.dumps(rec) + "\n")
+                    pope += [PopeEntry(names[yes_obj], "yes", split), PopeEntry(names[no_obj], "no", split)]
+            line = CorpusLine(f"img{i:04d}", vision.tolist(), instruction_ids, [names[j] for j in objs], pope)
+            fh.write(json.dumps(asdict(line)) + "\n")
 
     vocab_path = out_dir / "vocab.tsv"
     vocab.to_tsv(vocab_path)
@@ -289,41 +297,24 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
-    """Read a corpus JSONL file; record ids must be unique and `prompt_ids`
-    a list of JSON integers."""
+    """Read a corpus JSONL file, one `CorpusLine` per non-blank line; record
+    ids must be unique."""
     records: list[CorpusRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        for lineno, text in enumerate(fh, start=1):
+            if text.isspace():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: bad corpus line: {e}") from e
-            try:
-                rec = CorpusRecord(
-                    record_id=str(obj["id"]),
-                    vision=np.asarray(obj["vision_embeddings"], dtype=np.float32),
-                    prompt_ids=obj["prompt_ids"],
-                    gt_objects=[str(g) for g in obj["gt_objects"]],
-                    pope=[
-                        PopeItem(image_id=obj["id"], object_name=p["object"], split=p["split"], gold=p["gold"])
-                        for p in obj.get("pope", [])
-                    ],
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
-            ids = rec.prompt_ids
-            if not isinstance(ids, list) or any(type(t) is not int for t in ids):
-                raise DataError(f"{path}:{lineno}: prompt_ids must be a list of integers, got {ids!r}")
-            if rec.vision.ndim != 2 or rec.vision.shape[0] < 1:
-                raise DataError(f"{path}:{lineno}: vision_embeddings must be a non-empty 2-D array")
-            if rec.record_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate record id {rec.record_id!r}")
-            seen.add(rec.record_id)
-            records.append(rec)
+            line = schema.load(CorpusLine, text, str(path), DataError, lineno)
+            if line.id in seen:
+                raise DataError(f"{path}:{lineno}: duplicate record id {line.id!r}")
+            seen.add(line.id)
+            try:  # PopeItem checks split and gold
+                pope = [PopeItem(line.id, p.object, p.split, p.gold) for p in line.pope]
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+            vision = np.asarray(line.vision_embeddings, dtype=np.float32)
+            records.append(CorpusRecord(line.id, vision, line.prompt_ids, line.gt_objects, pope))
     if not records:
         raise DataError(f"{path}: empty corpus")
     return records

@@ -156,9 +156,10 @@ class MultimodalPrompt:
 
 
 class KvCache:
-    """Key/value rows (n_layers, n_streams, n_heads, max_len, d_head) of the
-    generation streams of one request, preallocated to max_len. All streams
-    share one length; a forward over B streams writes streams [0, B).
+    """Key/value rows of the generation streams of one request in one array
+    `kv` (2, n_layers, n_streams, n_heads, max_len, d_head), preallocated to
+    max_len; `k` and `v` are its halves. All streams share one length; a
+    forward over B streams writes streams [0, B).
     `select` is the one way to branch; rows below `shared` are the same in
     every stream and are never copied. `truncate` drops rows from the end,
     so one cache can serve several requests whose prompts share a prefix.
@@ -166,8 +167,7 @@ class KvCache:
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int, n_streams: int = 1):
         self.max_len = max_len
-        self.k = np.zeros((n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
-        self.v = np.zeros((n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
+        self.kv = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
         self._len = np.zeros(n_layers, dtype=np.int64)
         self.shared = 0
 
@@ -176,9 +176,12 @@ class KvCache:
         """Number of fully processed tokens (min across layers mid-step)."""
         return int(self._len.min())
 
+    k = property(lambda self: self.kv[0])
+    v = property(lambda self: self.kv[1])
+
     @property
     def n_streams(self) -> int:
-        return self.k.shape[1]
+        return self.kv.shape[2]
 
     def truncate(self, n: int) -> None:
         """Keep rows [0, n) only. The next select that gives every stream
@@ -186,22 +189,21 @@ class KvCache:
         np.minimum(self._len, n, out=self._len)
         self.shared = min(self.shared, n)
 
-    def extend(self, layer: int, ks: np.ndarray, vs: np.ndarray) -> None:
-        """Append rows for streams [0, B); ks/vs are (B, T, H, d_head)."""
+    def extend(self, layer: int, kv: np.ndarray) -> None:
+        """Append rows for streams [0, B); kv is keys and values, (2, B, T, H, d_head)."""
         t = int(self._len[layer])
-        b, n = ks.shape[:2]
+        b, n = kv.shape[1:3]
         if t + n > self.max_len:
             raise ContextOverflowError(f"kv cache overflow: {t}+{n} > {self.max_len}")
-        self.k[layer, :b, :, t : t + n] = ks.transpose(0, 2, 1, 3)
-        self.v[layer, :b, :, t : t + n] = vs.transpose(0, 2, 1, 3)
+        self.kv[:, layer, :b, :, t : t + n] = kv.transpose(0, 1, 3, 2, 4)
         self._len[layer] += n
 
     def keys(self, layer: int, n_streams: int = 1) -> np.ndarray:
         """Cached keys (n_streams, H, S, d_head) of streams [0, n_streams)."""
-        return self.k[layer, :n_streams, :, : self._len[layer]]
+        return self.kv[0, layer, :n_streams, :, : self._len[layer]]
 
     def values(self, layer: int, n_streams: int = 1) -> np.ndarray:
-        return self.v[layer, :n_streams, :, : self._len[layer]]
+        return self.kv[1, layer, :n_streams, :, : self._len[layer]]
 
     def select(self, parents: list[int]) -> None:
         """Stream s takes stream parents[s]'s rows from `shared` on. When all
@@ -214,7 +216,7 @@ class KvCache:
             self.shared = hi
         moved = [s for s, p in enumerate(parents) if p != s]
         if moved:
-            for a in (self.k, self.v):
+            for a in self.kv:  # k, then v: one op over both would double the temporary the fancy index copies
                 a[:, moved, :, lo:hi] = a[:, [parents[s] for s in moved], :, lo:hi]
 
 
@@ -334,7 +336,7 @@ class Engine:
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
             qkv = np.matmul(rmsnorm(x, attn_norm), wqkv).reshape(3, B, T, H, dk)
             q, k = _rope(qkv[:2], cs, sn, self._rope_perm)
-            cache.extend(layer, k, qkv[2])
+            cache.extend(layer, qkv[1:])  # k (rotated) and v
             K = cache.keys(layer, B)  # (B, H, S, dk)
             # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
             logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))

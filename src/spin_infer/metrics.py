@@ -9,7 +9,7 @@ so results can be compared ratio-for-ratio against brute-force recounts.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .engine import MultimodalPrompt
@@ -239,17 +239,8 @@ class PopeScores:
         self.unparsed += other.unparsed
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "unparsed": self.unparsed,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return {**asdict(self), "accuracy": self.accuracy, "precision": self.precision, "recall": self.recall,
+                "f1": self.f1}
 
 
 @dataclass

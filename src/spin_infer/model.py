@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DataError
 from .prng import SplitMix64
 
@@ -38,7 +39,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ffn", "vocab_size"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.max_seq_len < 2:
             raise ConfigError(f"model.max_seq_len must be >= 2, got {self.max_seq_len}")
@@ -53,6 +54,19 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class TensorEntry:
+    name: str
+    shape: list[int]
+    offset: int  # bytes into the data section
+
+
+@dataclass
+class CheckpointHeader:
+    config: ModelConfig
+    tensors: list[TensorEntry]
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -135,8 +149,8 @@ def init_checkpoint(config: ModelConfig, seed: int) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    table = [{"name": name, "shape": list(t.shape), "offset": 4 * ckpt._start[name]} for name, t in ckpt.tensors.items()]
-    header = json.dumps({"config": ckpt.config.to_dict(), "tensors": table}).encode()
+    table = [TensorEntry(name, list(t.shape), 4 * ckpt._start[name]) for name, t in ckpt.tensors.items()]
+    header = json.dumps(asdict(CheckpointHeader(ckpt.config, table))).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
@@ -162,34 +176,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if 8 + hlen > size:  # checked before the read, which allocates hlen bytes up front
             raise DataError(f"{path}: truncated header (want {hlen} bytes)")
         try:
-            header = json.loads(fh.read(hlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            text = fh.read(hlen).decode()
+        except UnicodeDecodeError as e:
             raise DataError(f"{path}: bad checkpoint header: {e}") from e
-        from .config import _section  # function-level: config imports this module
-
-        try:
-            config = _section(ModelConfig, header.get("config") if isinstance(header, dict) else None, "config")
-        except ConfigError as e:
-            raise DataError(f"{path}: bad checkpoint header: {e}") from e
-
+        header = schema.load(CheckpointHeader, text, str(path), DataError)
         data_len = size - 8 - hlen
-        expected = tensor_shapes(config)
-        entries = header.get("tensors")
-        if not isinstance(entries, list) or len(entries) != len(expected):
+        expected = tensor_shapes(header.config)
+        if len(header.tensors) != len(expected):
             raise DataError(f"{path}: tensor table does not match config-derived layout")
         end = 0
-        for entry, name in zip(entries, expected):
-            if not isinstance(entry, dict) or entry.get("name") != name:
-                raise DataError(f"{path}: tensor table entry for {name!r} is not an object with that name")
-            shape, off = entry.get("shape"), entry.get("offset")
-            if not isinstance(shape, list) or any(type(x) is not int for x in shape) or type(off) is not int:
-                raise DataError(f"{path}: tensor {name!r} shape and offset must be JSON integers")
-            shape = tuple(shape)
-            if shape != expected[name]:
-                raise DataError(f"{path}: tensor {name!r} shape {shape} != expected {expected[name]}")
-            if off != end:
-                raise DataError(f"{path}: tensor {name!r} offset {off} is not contiguous")
-            end = off + 4 * math.prod(shape)
+        for entry, (name, shape) in zip(header.tensors, expected.items()):
+            if entry.name != name:
+                raise DataError(f"{path}: tensor table entry {entry.name!r} where {name!r} belongs")
+            if tuple(entry.shape) != shape:
+                raise DataError(f"{path}: tensor {name!r} shape {tuple(entry.shape)} != expected {shape}")
+            if entry.offset != end:
+                raise DataError(f"{path}: tensor {name!r} offset {entry.offset} is not contiguous")
+            end = entry.offset + 4 * math.prod(shape)
             if end > data_len:
                 raise DataError(f"{path}: tensor {name!r} runs past end of file")
         if end != data_len:
@@ -200,4 +203,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         got = fh.readinto(flat)
         if got != end:
             raise DataError(f"{path}: read {got} of {end} tensor data bytes")
-    return Checkpoint(config, flat)
+    return Checkpoint(header.config, flat)

@@ -46,7 +46,7 @@ REPORT_NOTES = [
 def build_engine(cfg: RunConfig) -> Engine:
     if cfg.model.checkpoint is not None:
         return Engine(load_checkpoint(cfg.model.checkpoint))
-    return Engine(init_checkpoint(cfg.model.init_config, cfg.model.init_seed))
+    return Engine(init_checkpoint(cfg.model.init.config, cfg.model.init.seed))
 
 
 class EvalInputs(NamedTuple):

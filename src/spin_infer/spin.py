@@ -61,16 +61,6 @@ class SpinConfig:
             "apply_to": self.apply_to,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpinConfig":
-        d = dict(d)
-        lo, hi = d.pop("layer_range", (1, 1))
-        known = {"strategy", "r", "alpha", "apply_to"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"spin config has unknown keys: {sorted(extra)}")
-        return cls(layer_lo=int(lo), layer_hi=int(hi), **d)
-
 
 def kept_count(r: float, n_heads: int) -> int:
     """K = H - round(r*H) with half rounded up, clamped to [1, H]."""

@@ -139,7 +139,7 @@ def reference_step(engine: Engine, x, cache: KvCache, position: int):
     cos, sin = ref_rope_tables(c.d_head, np.array([position]))
     for layer in range(c.n_layers):
         q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm"))[None], cos, sin)
-        cache.extend(layer, k[None], v[None])
+        cache.extend(layer, np.stack([k, v])[:, None])
         K = cache.keys(layer)[0]
         w = ref_softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
         ctx = np.matmul(w, cache.values(layer)[0])  # (H, 1, dk)
@@ -164,7 +164,7 @@ def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, 
     x = engine.embed_prompt(prompt, base)
     for layer in range(c.n_layers):
         q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm")), cos, sin)
-        cache.extend(layer, k[None], v[None])
+        cache.extend(layer, np.stack([k, v])[:, None])
         K = cache.keys(layer)
         raw = np.matmul(q[None].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
         masks = None if policy is None else policy(layer, q, K, raw, positions, prompt.layout())

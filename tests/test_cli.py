@@ -185,12 +185,12 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda t: t.__setitem__(0, 5), "entry for 'embedding' is not an object with that name"),
-            (lambda t: t[1].__setitem__("offset", t[1]["offset"] + 0.5), "must be JSON integers"),
-            (lambda t: t[1].__setitem__("offset", str(t[1]["offset"])), "must be JSON integers"),
-            (lambda t: t[0].__setitem__("offset", False), "must be JSON integers"),
-            (lambda t: t[0].__setitem__("shape", [float(x) for x in t[0]["shape"]]), "must be JSON integers"),
-            (lambda t: t[0].__setitem__("shape", 7), "must be JSON integers"),
+            (lambda t: t.__setitem__(0, 5), "bad.spnm: tensors[0]: expected object, got 5"),
+            (lambda t: t[1].__setitem__("offset", t[1]["offset"] + 0.5), "bad.spnm: tensors[1].offset: expected int"),
+            (lambda t: t[1].__setitem__("offset", str(t[1]["offset"])), "bad.spnm: tensors[1].offset: expected int"),
+            (lambda t: t[0].__setitem__("offset", False), "bad.spnm: tensors[0].offset: expected int"),
+            (lambda t: t[0].__setitem__("shape", [float(x) for x in t[0]["shape"]]), "bad.spnm: tensors[0].shape[0]: expected int"),
+            (lambda t: t[0].__setitem__("shape", 7), "bad.spnm: tensors[0].shape: expected list[int], got 7"),
         ],
         ids=["non_object", "float_offset", "string_offset", "bool_offset", "float_shape", "scalar_shape"],
     )
@@ -333,7 +333,7 @@ class TestProfileHeatmapTune:
             capsys, "heatmap", "--traces", str(trace_path), "--out-prefix", str(tmp_path / "heat")
         )
         assert code == 3
-        assert f"{trace_path}:1: meta.n_layers must be a positive integer" in err
+        assert f"{trace_path}:1: meta.n_layers: missing" in err
         assert not (tmp_path / "heat.csv").exists()
 
     def test_heatmap_malformed_record_exit_3(self, tmp_path, capsys):
@@ -344,7 +344,7 @@ class TestProfileHeatmapTune:
             capsys, "heatmap", "--traces", str(trace_path), "--out-prefix", str(tmp_path / "heat")
         )
         assert code == 3
-        assert f"{trace_path}:2: bad trace record: layer must be an integer" in err
+        assert f"{trace_path}:2: layer: expected int, got True" in err
         assert not (tmp_path / "heat.csv").exists()
 
     def test_tune_command(self, workspace, tmp_path, capsys):

@@ -67,7 +67,7 @@ class TestValidation:
     def test_unknown_section_rejected(self, workspace):
         raw = minimal_raw(workspace)
         raw["bogus"] = {}
-        with pytest.raises(ConfigError, match="unknown sections"):
+        with pytest.raises(ConfigError, match=r"unknown keys: \['bogus'\]"):
             parse_run_config(raw, environ={})
 
     def test_unknown_decode_key_rejected(self, workspace):

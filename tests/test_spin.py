@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_infer import cli
+from spin_infer.config import load_spin_config
 from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
 from spin_infer.decoding import DecodeConfig, generate
 from spin_infer.engine import Engine, MultimodalPrompt
@@ -42,13 +43,17 @@ class TestSpinConfig:
         with pytest.raises(ConfigError):
             spin(**kw)
 
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         cfg = spin(r=0.25, alpha=0.1, lo=2, hi=4, strategy="key_norm")
-        assert SpinConfig.from_dict(cfg.to_dict()) == cfg
+        p = tmp_path / "spin.json"
+        p.write_text(json.dumps(cfg.to_dict()))
+        assert load_spin_config(p) == cfg
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "spin.json"
+        p.write_text(json.dumps({"r": 0.5, "post_softmax": False}))
         with pytest.raises(ConfigError, match="unknown keys"):
-            SpinConfig.from_dict({"r": 0.5, "post_softmax": False})
+            load_spin_config(p)
 
 
 class TestKeptCount:
