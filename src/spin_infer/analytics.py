@@ -17,7 +17,7 @@ import numpy as np
 
 from . import schema
 from .decoding import DecodeConfig, generate
-from .engine import Engine, MaskPolicy, MultimodalPrompt
+from .engine import Engine, MaskPolicy, MultimodalPrompt, _softmax
 from .errors import ConfigError, DataError
 from .spin import SpinConfig
 
@@ -48,25 +48,29 @@ def profile_attention(
     policy: MaskPolicy | None = None,
 ) -> AttentionProfile:
     """Run generation and accumulate per-layer vision/text attention mass
-    for every generated-token query, every head."""
+    for every generated-token query, every head.
+
+    The mass is read through the mask policy hook: on decode rows, a probe
+    softmaxes a copy of the layer's logits with the engine's own scale and
+    softmax, then returns `policy`'s masks (if any)."""
     n_layers = engine.config.n_layers
     sums_v = np.zeros(n_layers, dtype=np.float64)
     sums_t = np.zeros(n_layers, dtype=np.float64)
     counts = np.zeros(n_layers, dtype=np.int64)
 
+    def probe(layer, q, keys, logits, positions, layout):
+        if positions[0] >= layout.prompt_len:  # a decode step: one row per stream
+            for w in _softmax(logits * engine._inv_sqrt_dk).astype(np.float64)[:, :, 0]:  # (H, S) per stream
+                v = w[:, layout.i_start : layout.i_end].sum(axis=1)
+                sums_v[layer] += v.sum()
+                sums_t[layer] += (w.sum(axis=1) - v).sum()
+                counts[layer] += len(w)
+        return None if policy is None else policy(layer, q, keys, logits, positions, layout)
+
     n_prompts = 0
     for prompt in prompts:
         n_prompts += 1
-        i_start, i_end = prompt.i_start, prompt.i_end
-
-        def observer(layer: int, weights: np.ndarray, pos: int) -> None:
-            w64 = weights.astype(np.float64)
-            v = w64[:, i_start:i_end].sum(axis=1)
-            sums_v[layer] += v.sum()
-            sums_t[layer] += (w64.sum(axis=1) - v).sum()
-            counts[layer] += weights.shape[0]
-
-        generate(engine, prompt, decode_config, policy, observer)
+        generate(engine, prompt, decode_config, probe)
     if n_prompts == 0:
         raise DataError("profile_attention needs a non-empty corpus")
     if counts.min() < 1:
@@ -134,7 +138,13 @@ def _read_trace(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             layer = rec.layer - 1
             if not 0 <= layer < meta.n_layers or len(rec.mask) != meta.n_heads:
                 raise DataError(f"{path}:{lineno}: trace record shape does not match meta header")
-            kept[layer] += np.array(rec.mask, dtype=np.float64) == 1.0
+            try:
+                mask = np.array(rec.mask, dtype=np.float64)
+            except OverflowError as e:  # a JSON integer beyond float range
+                raise DataError(f"{path}:{lineno}: mask: {e}") from None
+            if not np.isfinite(mask).all():
+                raise DataError(f"{path}:{lineno}: mask: entries must be finite (found NaN or inf)")
+            kept[layer] += mask == 1.0
             steps[layer] += 1
     if meta is None:
         raise DataError(f"{path}: empty mask trace")

@@ -313,7 +313,10 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
                 pope = [PopeItem(line.id, p.object, p.split, p.gold) for p in line.pope]
             except DataError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
-            vision = np.asarray(line.vision_embeddings, dtype=np.float32)
+            try:  # a JSON integer beyond float range; NaN and inf fail their record later
+                vision = np.asarray(line.vision_embeddings, dtype=np.float32)
+            except OverflowError as e:
+                raise DataError(f"{path}:{lineno}: vision_embeddings: {e}") from None
             records.append(CorpusRecord(line.id, vision, line.prompt_ids, line.gt_objects, pope))
     if not records:
         raise DataError(f"{path}: empty corpus")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import AttnObserver, Engine, KvCache, MaskPolicy, MultimodalPrompt
+from .engine import Engine, KvCache, MaskPolicy, MultimodalPrompt
 from .errors import ConfigError, ContextOverflowError, DataError
 from .prng import SplitMix64
 
@@ -132,7 +132,6 @@ def generate(
     prompt: MultimodalPrompt,
     config: DecodeConfig,
     policy: MaskPolicy | None = None,
-    observer: AttnObserver | None = None,
     token_table=None,
     cache: KvCache | None = None,
 ) -> GenerationResult:
@@ -188,7 +187,7 @@ def generate(
         if live and step < config.max_new_tokens:
             cache.select([i for _, i, _ in live])
             try:
-                z = engine.step([seq[-1] for _, _, seq in live], cache, layout, policy, observer)
+                z = engine.step([seq[-1] for _, _, seq in live], cache, layout, policy)
                 logits = _finite(z, layout.prompt_len + step - 1)
             except ContextOverflowError:
                 truncated = True

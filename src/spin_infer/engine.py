@@ -15,13 +15,13 @@ calls and keeps every output bit of the plain formulas: one matmul with a
 (3, d, d) q/k/v view of the checkpoint buffer, rope on q and k in place,
 rmsnorm without `np.mean`'s wrapper, GELU and softmax in place.
 
-The attention layer accepts an optional *mask policy*: a callable invoked
+The forward has one hook, an optional *mask policy*: a callable invoked
 once per layer per forward with the post-rotation query vectors, the
 layer's cached keys, its raw q.K^T attention logits, the query positions
 and the prompt layout. It returns one multiplier per head and query row
 (or None for all-ones); the multipliers scale each head's attention output
-before the output projection. Only `step` takes an attention *observer*,
-so it fires on decode steps only, once per stream.
+before the output projection. Anything else that reads attention (the
+profiler) is a policy too.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .model import Checkpoint
 # logits is q.K^T before the 1/sqrt(dk) scale and the causal mask; the softmax
 # then overwrites it in place, so a policy must neither write it nor keep it.
 MaskPolicy = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, "PromptLayout"], Optional[np.ndarray]]
-# observer(layer_index, attn_weights (H,S), position) -- decode steps only, once per stream
-AttnObserver = Callable[[int, np.ndarray, int], None]
 
 _GELU_C = np.float32(0.7978845608028654)  # sqrt(2/pi)
 _GELU_A = np.float32(0.044715)
@@ -277,7 +275,6 @@ class Engine:
         cache: KvCache,
         layout: PromptLayout,
         policy: MaskPolicy | None = None,
-        observer: AttnObserver | None = None,
     ) -> np.ndarray:
         """Process one token id in each of cache streams [0, B), appending one
         row to every layer's cache; returns next-token logits (B, vocab)."""
@@ -288,7 +285,7 @@ class Engine:
         if not 0 <= min(tokens) <= max(tokens) < c.vocab_size:
             raise DataError(f"token ids {tokens} out of range for vocab {c.vocab_size}")
         x = self.checkpoint["embedding"].take(tokens, axis=0)
-        return self._forward(x[:, None], cache, np.array([pos]), layout, policy, observer)[:, 0]
+        return self._forward(x[:, None], cache, np.array([pos]), layout, policy)[:, 0]
 
     def prefill(
         self,
@@ -311,7 +308,7 @@ class Engine:
         if base >= n:
             raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
         x = self.embed_prompt(prompt, base)
-        out = self._forward(x[None], cache, np.arange(base, n), prompt.layout(), policy, None)[0]
+        out = self._forward(x[None], cache, np.arange(base, n), prompt.layout(), policy)[0]
         return out if return_all_logits else out[-1]
 
     def _forward(
@@ -321,7 +318,6 @@ class Engine:
         positions: np.ndarray,
         layout: PromptLayout,
         policy: MaskPolicy | None,
-        observer: AttnObserver | None,
     ) -> np.ndarray:
         """Run input rows x (B, T, d_model) of cache streams [0, B), all at
         `positions` (T,), through every block, appending their k/v rows to
@@ -345,9 +341,6 @@ class Engine:
             if future is not None:
                 np.copyto(logits, np.float32(-np.inf), where=future)
             w = _softmax(logits)  # (B, H, T, S)
-            if observer is not None:
-                for b in range(B):
-                    observer(layer, w[b, :, 0], int(positions[0]))
             ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
             if masks is not None:
                 ctx *= masks[:, :, None]

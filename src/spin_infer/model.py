@@ -93,8 +93,8 @@ class Checkpoint:
 
     `data` is one flat buffer laid out as the file's data section: the
     tensors in table order, each starting where the previous one ends. Every
-    tensor is a view of it. Safe to share across concurrent generation
-    streams: the buffer is marked read-only, and so is every view of it.
+    tensor is a view of it. The buffer is marked read-only, and so is every
+    view of it, so no in-place op can write to the weights.
     """
 
     def __init__(self, config: ModelConfig, data: np.ndarray):

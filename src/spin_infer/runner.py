@@ -1,9 +1,9 @@
 """End-to-end evaluation: generate over a corpus, score, and write reports.
 
-Records can be processed by a bounded worker pool; every record derives its
-own seed from (run seed, record id), so worker count and completion order
-never change any output. Reports embed the exact resolved RunConfig plus
-all generated token ids, which makes every report re-runnable.
+Records run one at a time, in corpus order; every record derives its own
+seed from (run seed, record id), so record order never changes its
+outputs. Reports embed the exact resolved RunConfig plus all generated
+token ids, which makes every report re-runnable.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -153,26 +152,18 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | No
         )
 
     t_start = time.perf_counter()
-
-    def task(record: CorpusRecord):
-        try:
-            return record.record_id, _eval_record(engine, record, cfg, table, policy), None
-        except SpinInferError as e:
-            return record.record_id, None, f"{type(e).__name__}: {e}"
-
+    done: dict[str, tuple] = {}  # record id -> what _eval_record returned
+    failures: dict[str, str] = {}
     try:
-        if ev.workers > 1:
-            with ThreadPoolExecutor(max_workers=ev.workers) as pool:
-                outcomes = list(pool.map(task, records))
-        else:
-            outcomes = [task(r) for r in records]
+        for record in records:
+            try:
+                done[record.record_id] = _eval_record(engine, record, cfg, table, policy)
+            except SpinInferError as e:
+                failures[record.record_id] = err = f"{type(e).__name__}: {e}"
+                log.error("record %s failed: %s", record.record_id, err)
     finally:
         if trace is not None:
             trace.close()
-    failures = {rid: err for rid, _, err in outcomes if err is not None}
-    for rid, err in failures.items():
-        log.error("record %s failed: %s", rid, err)
-    done = {rid: out for rid, out, err in outcomes if err is None}
     if not done:
         raise DataError(f"all {len(records)} records failed; first error: {next(iter(failures.values()))}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import IO
 
@@ -98,11 +97,10 @@ def _head_ranks(scores: np.ndarray) -> np.ndarray:
 class MaskTraceWriter:
     """Streams per-step masks as JSONL: one meta line, then one line per
     (query position, in-range layer), as `json.dumps` would write it. Each
-    policy call's lines go out in one write. Thread safe."""
+    policy call's lines go out in one write."""
 
     def __init__(self, fh: IO[str], n_layers: int, n_heads: int, config: SpinConfig):
         self._fh = fh
-        self._lock = threading.Lock()
         meta = {"n_layers": n_layers, "n_heads": n_heads, "spin": config.to_dict()}
         fh.write(json.dumps({"meta": meta}) + "\n")
 
@@ -116,8 +114,7 @@ class MaskTraceWriter:
             for row, mask in enumerate(masks.tolist())
             if row % T >= first
         ]
-        with self._lock:
-            self._fh.write("".join(lines))
+        self._fh.write("".join(lines))
 
     def close(self) -> None:
         self._fh.close()
@@ -126,10 +123,10 @@ class MaskTraceWriter:
 class SpinPolicy:
     """Mask policy plugged into the engine (the per-layer suppression hook).
 
-    Pure function of the step context: safe to share across concurrent
-    generation streams. Query rows are only maskable once the full vision
-    span is behind them (pos >= i_end), which also keeps scoring causal
-    during batched prefill; vision positions always get all-ones masks.
+    Its masks are a pure function of the step context. Query rows are only
+    maskable once the full vision span is behind them (pos >= i_end), which
+    also keeps scoring causal during batched prefill; vision positions always
+    get all-ones masks.
     """
 
     def __init__(

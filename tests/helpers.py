@@ -380,7 +380,7 @@ class StubEngine:
         cache.length = len(prompt)
         return self.first
 
-    def step(self, tokens, cache, layout, policy=None, observer=None):
+    def step(self, tokens, cache, layout, policy=None):
         cache.length += 1
         return np.stack([self.after.get(int(t), self.first) for t in tokens])
 

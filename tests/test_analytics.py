@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -15,7 +16,7 @@ from spin_infer.engine import Engine, MultimodalPrompt
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy
 
-from helpers import random_prompt, tiny_config, tiny_engine, uniform_attention_checkpoint
+from helpers import random_prompt, ref_softmax, tiny_config, tiny_engine, uniform_attention_checkpoint
 
 
 def uniform_engine(**kw):
@@ -44,13 +45,14 @@ class TestProfile:
 
         observed = []
 
-        def observer(layer, w, pos):
-            observed.append(w[0, prompt.i_start : prompt.i_end].sum() / w[0].sum())
+        def probe(layer, q, keys, logits, positions, layout):
+            w = ref_softmax(logits[0, 0, 0] * engine._inv_sqrt_dk)
+            observed.append(w[prompt.i_start : prompt.i_end].sum() / w.sum())
 
         cache = engine.new_cache()
         logits = engine.prefill(prompt, cache)
         tok = int(np.argmax(logits))
-        engine.step([tok], cache, prompt.layout(), observer=observer)
+        engine.step([tok], cache, prompt.layout(), probe)
 
         profile = profile_attention(engine, [prompt], dc)
         assert profile.vision[0] == pytest.approx(observed[0], abs=1e-6)
@@ -91,6 +93,28 @@ class TestProfile:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "layer,vision_fraction,text_fraction"
         assert len(lines) == engine.config.n_layers + 1
+
+    # sha256 of `to_dict()` recorded when a separate attention observer fed
+    # the profiler the engine's own weights; the policy-hook probe must
+    # reproduce them bit for bit
+    PINNED = {
+        ("greedy", "spin_off"): "c2931bb941eec026",
+        ("greedy", "spin_on"): "fcb2da503fc8c482",
+        ("beam_3", "spin_off"): "5b641d7196e627fd",
+        ("beam_3", "spin_on"): "7c0d4ef4e8777747",
+    }
+
+    @pytest.mark.parametrize("decode, spin", list(PINNED), ids=["-".join(k) for k in PINNED])
+    def test_profile_bitwise_pinned(self, decode, spin):
+        engine = tiny_engine()
+        prompts = [random_prompt(s, engine.config) for s in range(3)]
+        dc = DecodeConfig(max_new_tokens=6, eos_id=0, seed=0)
+        if decode == "beam_3":
+            dc = DecodeConfig(strategy="beam", beam_width=3, max_new_tokens=6, eos_id=0, seed=0)
+        policy = SpinPolicy(SpinConfig(r=0.5, layer_hi=2), 2, 4) if spin == "spin_on" else None
+        profile = profile_attention(engine, prompts, dc, policy).to_dict()
+        digest = hashlib.sha256(json.dumps(profile, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == self.PINNED[decode, spin]
 
 
 def write_trace(path, n_layers, n_heads, spin_cfg, rows):

@@ -261,6 +261,33 @@ def test_corpus_coercion_rejected(workspace, tmp_path, field, value, message):
     assert f"data error: {corpus}:1: {message}" in err
 
 
+class TestNumbersBeyondFloatRange:
+    """A JSON integer too large for a float is a JSON number, so it passes
+    the type check; turning it into an array is still a data error. A
+    trace mask entry must be finite too."""
+
+    def test_corpus_vision_value(self, workspace, tmp_path):
+        line = corpus_line(workspace)
+        set_field(line, "vision_embeddings[0][0]", 10**400)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(line) + "\n")
+        code, err = eval_run(workspace, tmp_path, eval={**run_config(workspace, tmp_path)["eval"], "corpus": str(corpus)})
+        assert code == 3, err
+        assert f"data error: {corpus}:1: vision_embeddings: " in err
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), float("nan"), float("inf"), float("-inf")],
+                             ids=["huge_int", "huge_negative_int", "nan", "inf", "negative_inf"])
+    def test_trace_mask_entry(self, tmp_path, value):
+        lines = trace_lines()
+        lines[1]["mask"][0] = value
+        trace = tmp_path / "masks.jsonl"
+        trace.write_text("".join(json.dumps(x) + "\n" for x in lines))
+        code, err = run("heatmap", "--traces", trace, "--out-prefix", tmp_path / "heat")
+        assert code == 3, err
+        assert f"data error: {trace}:2: mask: " in err
+        assert not (tmp_path / "heat.csv").exists() and not (tmp_path / "heat.json").exists()
+
+
 class TestDuplicateKeys:
     def test_run_config(self, workspace, tmp_path):
         text = json.dumps(run_config(workspace, tmp_path)).replace('"decode": {', '"decode": {"seed": 9, ', 1)
@@ -323,5 +350,19 @@ def test_only_the_schema_module_parses_json():
         if path.name != "schema.py"
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"\bjson\.loads?\(|raw_decode", line)
+    ]
+    assert not offenders, offenders
+
+
+def test_no_module_uses_threads():
+    """The package runs in one thread: no module imports `threading` or
+    `concurrent`, so per-run state such as the trace writer or a policy's
+    counters needs no lock."""
+    package = Path(spin_infer.__file__).parent
+    offenders = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.match(r"\s*(import|from)\s+(threading|concurrent)\b", line)
     ]
     assert not offenders, offenders
