@@ -6,8 +6,8 @@ float32 so runs are reproducible bit-for-bit.
 
 `prefill` (the prompt rows a cache lacks, one stream) and `step` (one
 token in each of B streams) share one forward over B streams x T rows,
-with one matmul per weight over all rows and per-stream attention. A cache
-that already holds a prompt's first rows (an earlier request's prompt,
+with one multiply per weight over all rows (`_plan`) and per-stream attention.
+A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
 Small forwards are bound by numpy call overhead, so a layer makes few
@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ContextOverflowError, DataError
 from .model import Checkpoint
+from .prng import SplitMix64
 
 # policy(layer_index, q_rot (B*T,H,dk), keys (B,H,S,dk), logits (B,H,T,S), positions (T,), layout)
 #   -> (B*T,H) or None; query rows are stream-major: row b*T + t is stream b at positions[t].
@@ -47,6 +48,10 @@ _GELU_A = np.float32(0.044715)
 _HALF, _ONE = np.float32(0.5), np.float32(1.0)
 _EPS = np.float32(1e-5)  # rmsnorm
 ROPE_BASE = 10000.0
+# Past M*N*K = _SMALL_MNK, OpenBLAS 0.3.31's AVX-512 sgemm packs the whole weight each call, in K chunks of
+# _GEMM_Q, the last two balanced to a multiple of _GEMM_UNROLL. Criterion-6 step, B rows, plain -> planned ms
+# (1 BLAS thread, 2-core VM): 4 8.98->5.69, 5 11.9->8.84, 8 10.8->7.86, 16 14.0->11.3, 32 21.1->19.5, 48 27.6->26.8.
+_SMALL_MNK, _GEMM_Q, _GEMM_UNROLL, _PLAN_MAX_ROWS = 1_000_000, 448, 16, 32
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -104,6 +109,25 @@ def _rope(x: np.ndarray, cs: np.ndarray, sn: np.ndarray, perm: np.ndarray) -> np
     rot *= sn
     x += rot
     return x
+
+
+def _plan(m: int, w: np.ndarray) -> Callable | None:
+    """A multiply of (m, k) rows by w past the small-matrix limit in small-kernel pieces: the driver's
+    K chunks, summed in order, per column block with edges on multiples of 64 (others change the bits).
+    None for a plain matmul, or if it misses a @ w bitwise on a seeded probe (one BLAS build's rule)."""
+    k, n = w.shape[-2:]
+    if m * n * k <= _SMALL_MNK or not 1 < m <= _PLAN_MAX_ROWS:  # one row is a gemv: no packing
+        return None
+    edges = [0]
+    while (left := k - edges[-1]) > 0:
+        half = -(-left // 2 // _GEMM_UNROLL) * _GEMM_UNROLL
+        edges.append(edges[-1] + (_GEMM_Q if left >= 2 * _GEMM_Q else left if left <= _GEMM_Q else half))
+    width = _SMALL_MNK // (m * max(np.diff(edges))) // 64 * 64
+    ks, cols = [*map(slice, edges, edges[1:])], [slice(c, c + width) for c in range(0, n, width)]
+    def planned(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.concatenate([functools.reduce(np.add, (a[..., kc] @ w[..., kc, c] for kc in ks)) for c in cols], axis=-1)
+    probe = (SplitMix64(m).uniforms(m * k) - 0.5).astype(np.float32).reshape(m, k)  # not np.random: +6.7 MB RSS
+    return planned if np.array_equal(planned(probe, w), probe @ w) else None
 
 
 @dataclass(frozen=True)
@@ -242,6 +266,15 @@ class Engine:
         dk = c.d_head
         self._rope_freq, self._rope_sign, self._rope_perm = _rope_channels(dk)
         self._inv_sqrt_dk = np.float32(1.0 / math.sqrt(dk))
+        self._matmuls: dict[int, Callable] = {}  # rows -> np.matmul or a planned multiply
+
+    def _matmul(self, rows: int) -> Callable:
+        """np.matmul, or a multiply by plan for each weight shape whose product at `rows` rows has one."""
+        if (mm := self._matmuls.get(rows)) is None:
+            weights = (*self._layers[0][1:3], *self._layers[0][4:], self.checkpoint["output"])
+            plans = {w.shape: plan for w in weights if (plan := _plan(rows, w))}
+            mm = self._matmuls[rows] = (lambda a, w: plans.get(w.shape, np.matmul)(a, w)) if plans else np.matmul
+        return mm
 
     def new_cache(self, n_streams: int = 1) -> KvCache:
         c = self.config
@@ -328,9 +361,10 @@ class Engine:
         x = x.reshape(B * T, c.d_model)  # rows stream-major, as the policy gets them
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
         cs, sn = self._rope_tables(positions)
+        mm = self._matmul(B * T)
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
-            qkv = np.matmul(rmsnorm(x, attn_norm), wqkv).reshape(3, B, T, H, dk)
+            qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, B, T, H, dk)
             q, k = _rope(qkv[:2], cs, sn, self._rope_perm)
             cache.extend(layer, qkv[1:])  # k (rotated) and v
             K = cache.keys(layer, B)  # (B, H, S, dk)
@@ -344,7 +378,7 @@ class Engine:
             ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
             if masks is not None:
                 ctx *= masks[:, :, None]
-            x = x + ctx.reshape(B * T, c.d_model) @ wo
-            x = x + gelu(rmsnorm(x, ffn_norm) @ w1) @ w2
+            x = x + mm(ctx.reshape(B * T, c.d_model), wo)
+            x = x + mm(gelu(mm(rmsnorm(x, ffn_norm), w1)), w2)
         ck = self.checkpoint
-        return (rmsnorm(x, ck["final_norm"]) @ ck["output"]).reshape(B, T, -1)
+        return mm(rmsnorm(x, ck["final_norm"]), ck["output"]).reshape(B, T, -1)

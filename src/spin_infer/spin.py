@@ -91,7 +91,7 @@ def _head_ranks(scores: np.ndarray) -> np.ndarray:
     """Rank of each head within its score row (..., H): its place in a
     stable descending sort, i.e. #(s_j > s_i) + #(s_j == s_i, j < i), so
     ties go to the lower head index."""
-    return np.argsort(np.argsort(-scores, axis=-1, kind="stable"), axis=-1)
+    return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
 class MaskTraceWriter:

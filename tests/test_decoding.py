@@ -378,6 +378,17 @@ class TestBatchedBeamMatchesPlainPath:
         prompt = random_prompt(55, engine.config, n_prefix=0, n_vision=48, n_suffix=16)
         self.check(engine, prompt, DecodeConfig(strategy="beam", beam_width=5, max_new_tokens=12, eos_id=None))
 
+    def test_criterion_6_ffn_width(self):
+        # d_ffn 1024 at width 5: each step's w1 and w2 products, and the
+        # 16-row prefill's, cross OpenBLAS's small-matrix limit and run planned;
+        # tokens and scores are pinned from before the plan existed
+        engine = tiny_engine(seed=123, n_layers=2, n_heads=8, d_model=256, d_ffn=1024, vocab_size=512,
+                             max_seq_len=64)
+        prompt = random_prompt(55, engine.config, n_prefix=0, n_vision=8, n_suffix=8)
+        res = self.check(engine, prompt, DecodeConfig(strategy="beam", beam_width=5, max_new_tokens=12, eos_id=None))
+        assert res.token_ids == [39, 456, 222, 241, 461, 461, 39, 39, 39, 301, 446, 39]
+        assert score_digest(res.beam_step_scores) == "4a536f32a3121026"
+
 
 class TestNonFiniteLogits:
     @pytest.mark.parametrize("strategy", DECODE_STRATEGIES)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spin_infer.engine import Engine, MultimodalPrompt, _rope, _softmax, gelu, rmsnorm
+from spin_infer import engine as engine_module
+from spin_infer.engine import Engine, MultimodalPrompt, _plan, _rope, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
 from spin_infer.spin import SpinConfig, SpinPolicy
@@ -456,3 +457,82 @@ class TestNoWeightCopy:
     def test_engine_allocates_no_weights(self, loaded):
         Engine(loaded)  # first-call caches are not the construction's
         assert traced_peak(lambda: Engine(loaded)) < 100_000
+
+
+QUICK_START = ModelConfig(n_layers=4, n_heads=8, d_model=64, d_ffn=256, vocab_size=56, max_seq_len=512)
+
+
+def weight_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
+    d, f = config.d_model, config.d_ffn
+    return [(3, d, d), (d, d), (d, f), (f, d), (d, config.vocab_size)]
+
+
+class TestPlannedMultiply:
+    """Products past OpenBLAS's small-matrix limit at a few rows run as
+    small-kernel pieces (`_plan`); every output bit must stay a @ w's."""
+
+    @pytest.fixture(scope="class")
+    def c6_engine(self):
+        return Engine(init_checkpoint(CRITERION_6, 123))
+
+    @pytest.mark.parametrize("shape", sorted({*weight_shapes(CRITERION_6), *weight_shapes(QUICK_START), (512, 2048), (2048, 512)}),
+                             ids=str)
+    def test_bitwise_equal_to_matmul(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        w = rng.standard_normal(shape, np.float32)
+        planned = [m for m in range(1, 17) if _plan(m, w)]
+        # a plan wherever a product is past the limit, except one row
+        assert planned == [m for m in range(2, 17) if m * shape[-2] * shape[-1] > 1_000_000]
+        for m in planned:
+            for _ in range(4):
+                a = (rng.standard_normal((m, shape[-2])) * rng.choice([1e-3, 1.0, 40.0])).astype(np.float32)
+                assert np.array_equal(_plan(m, w)(a, w), a @ w), (shape, m)
+
+    def test_plans_where_predicted(self, c6_engine):
+        """decode-long (one-row steps, 512-row prefill) and the quick-start
+        eval run the plain matmul; beam 5 on the criterion-6 model plans w1 and w2."""
+        assert c6_engine._matmul(1) is np.matmul and c6_engine._matmul(512) is np.matmul
+        quick = Engine(init_checkpoint(QUICK_START, 1))
+        assert all(quick._matmul(rows) is np.matmul for rows in range(1, QUICK_START.max_seq_len + 1))
+        attn_norm, wqkv, wo, ffn_norm, w1, w2 = c6_engine._layers[0]
+        assert _plan(5, w1) is not None and _plan(5, w2) is not None
+        assert _plan(5, wqkv) is None and _plan(5, wo) is None and _plan(5, c6_engine.checkpoint["output"]) is None
+        assert c6_engine._matmul(5) is not np.matmul
+        # from the first row count past the limit to the measured bound
+        assert [m for m in range(1, 65) if _plan(m, w2)] == list(range(4, 33))
+
+    @pytest.mark.parametrize("rows", [4, 5, 8, 16])
+    def test_forward_bitwise_equal_to_plain_path(self, c6_engine, monkeypatch, rows):
+        """A step of `rows` beams and a `rows`-row prefill give the plain path's logits and caches bit for bit."""
+        prompt = random_prompt(3, c6_engine.config, n_prefix=1, n_vision=rows - 2, n_suffix=1)
+        outs = []
+        for max_rows in (engine_module._PLAN_MAX_ROWS, 0):  # planned, then plain
+            monkeypatch.setattr(engine_module, "_PLAN_MAX_ROWS", max_rows)
+            engine = Engine(c6_engine.checkpoint)
+            cache = engine.new_cache(rows)
+            first = engine.prefill(prompt, cache, return_all_logits=True)
+            cache.select([0] * rows)
+            step = engine.step(list(range(rows)), cache, prompt.layout())
+            outs.append((first, step, cache.kv.copy(), engine._matmul(rows) is np.matmul))
+        (first, step, kv, plain), (first0, step0, kv0, plain0) = outs
+        assert not plain and plain0
+        assert np.array_equal(first, first0) and np.array_equal(step, step0) and np.array_equal(kv, kv0)
+
+    def test_wrong_plan_rejected(self, c6_engine, monkeypatch):
+        """K chunks unlike the driver's (as on another BLAS build) miss a @ w
+        on the probe, so the plan is dropped and the step stays bitwise."""
+        w1, w2 = c6_engine._layers[0][4:]
+        prompt = random_prompt(4, c6_engine.config, n_prefix=2, n_vision=8, n_suffix=2)
+        layout = prompt.layout()
+
+        def beam_step(engine):
+            cache = engine.new_cache(5)
+            engine.prefill(prompt, cache)
+            cache.select([0] * 5)
+            return engine.step([1, 2, 3, 4, 5], cache, layout)
+
+        want = beam_step(Engine(c6_engine.checkpoint))
+        monkeypatch.setattr(engine_module, "_GEMM_Q", 400)  # K = 1024 cut at 400 and 712, not 448 and 736
+        assert _plan(5, w2) is None
+        assert _plan(5, w1) is not None  # K = 256 is one chunk either way
+        assert np.array_equal(beam_step(Engine(c6_engine.checkpoint)), want)
