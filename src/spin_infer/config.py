@@ -53,7 +53,7 @@ class EvalSection:
     pope: bool = True
     pope_mode: str = "multi_turn"  # or "single_turn"
     pope_max_new_tokens: int = 8
-    workers: int = 1  # kept for old configs: records run one at a time whatever its value
+    workers: int = 1  # kept for old configs and ignored: batched decoding is bitwise, so there is no width to set
     max_records: int | None = None
 
     def __post_init__(self):

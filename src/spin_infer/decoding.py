@@ -14,7 +14,8 @@ earliest first on ties.
 
 Live hypothesis i is stream i of one KV cache of `width` streams: each
 step `KvCache.select`s the kept children's parents, then runs one batched
-`Engine.step` over all live hypotheses. A caller may pass a cache that
+`Engine.step` over all live hypotheses; `decode` yields that step, so
+requests can share one `Engine.step_many`. A caller may pass a cache that
 already holds the prompt's first rows; prefill then processes only the
 rest, and on return the cache is truncated back to the prompt's end, so
 it holds exactly this prompt's rows for the caller's next request.
@@ -27,12 +28,13 @@ logits from prefill or a step raise DataError.
 from __future__ import annotations
 
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import Engine, KvCache, MaskPolicy, MultimodalPrompt
-from .errors import ConfigError, ContextOverflowError, DataError
+from .errors import ConfigError, DataError
 from .prng import SplitMix64
 
 DECODE_STRATEGIES = ("greedy", "beam", "nucleus")
@@ -139,6 +141,18 @@ def generate(
     table is supplied. `cache`, if given, holds rows [0, cache.length) of
     `prompt` and is left holding rows [0, len(prompt)); `prefill_latency`
     counts only the rows it lacked."""
+    steps, logits = decode(engine, prompt, config, policy, token_table, cache), None
+    try:
+        while True:
+            logits = engine.step(*steps.send(logits))
+    except StopIteration as done:
+        return done.value
+
+
+def decode(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, policy: MaskPolicy | None = None,
+           token_table=None, cache: KvCache | None = None) -> Generator[tuple, np.ndarray, GenerationResult]:
+    """`generate` yielding each step's `Engine.step` arguments and taking its logits by `send`. A step that
+    would overflow the context sets `truncated` instead. A step latency includes all of a shared step."""
     beam = config.strategy == "beam"
     width = config.n_streams
     if cache is None:
@@ -168,7 +182,7 @@ def generate(
                 top = np.argsort(-logp, kind="stable")[:width]
                 children += [(score + float(logp[t]), i, int(t)) for t in top]
             elif config.strategy == "greedy":
-                children.append((score, i, int(np.argmax(z))))  # ties go to the lowest token id
+                children.append((score, i, int(z.argmax())))  # ties go to the lowest token id
             else:
                 children.append((score, i, _nucleus_pick(z, config.nucleus_p, rng)))
         children.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -186,10 +200,10 @@ def generate(
         live = kept
         if live and step < config.max_new_tokens:
             cache.select([i for _, i, _ in live])
-            try:
-                z = engine.step([seq[-1] for _, _, seq in live], cache, layout, policy)
+            if cache.length < engine.config.max_seq_len:
+                z = yield [seq[-1] for _, _, seq in live], cache, layout, policy
                 logits = _finite(z, layout.prompt_len + step - 1)
-            except ContextOverflowError:
+            else:
                 truncated = True
         if truncated or step == config.max_new_tokens:
             for score, _, seq in live:

@@ -7,6 +7,8 @@ float32 so runs are reproducible bit-for-bit.
 `prefill` (the prompt rows a cache lacks, one stream) and `step` (one
 token in each of B streams) share one forward over B streams x T rows,
 with one multiply per weight over all rows (`_plan`) and per-stream attention.
+`step_many` steps several requests in that forward, bitwise as if each
+stepped alone.
 A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
@@ -104,7 +106,7 @@ def _rope(x: np.ndarray, cs: np.ndarray, sn: np.ndarray, perm: np.ndarray) -> np
     x * C + x[..., perm] * S. Each pair (x1, x2) becomes x1 cos - x2 sin and
     x2 cos + x1 sin bitwise, since a + b * (-s) == a - b * s exactly; an odd
     trailing dim gets C = 1 and S = 0 and passes through."""
-    rot = np.take(x, perm, axis=-1)
+    rot = x.take(perm, axis=-1)
     x *= cs
     rot *= sn
     x += rot
@@ -276,9 +278,9 @@ class Engine:
             mm = self._matmuls[rows] = (lambda a, w: plans.get(w.shape, np.matmul)(a, w)) if plans else np.matmul
         return mm
 
-    def new_cache(self, n_streams: int = 1) -> KvCache:
+    def new_cache(self, n_streams: int = 1, max_len: int | None = None) -> KvCache:
         c = self.config
-        return KvCache(c.n_layers, c.n_heads, c.d_head, c.max_seq_len, n_streams)
+        return KvCache(c.n_layers, c.n_heads, c.d_head, min(max_len or c.max_seq_len, c.max_seq_len), n_streams)
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """rope factors C = [cos, cos] and S = [-sin, sin] (T, 1, dk) for rows
@@ -302,23 +304,50 @@ class Engine:
         rows.extend(self._embed_id(t) for t in prompt.suffix_ids[max(start - prompt.i_end, 0) :])
         return np.stack(rows).astype(np.float32)
 
-    def step(
-        self,
-        tokens: list[int],
-        cache: KvCache,
-        layout: PromptLayout,
-        policy: MaskPolicy | None = None,
-    ) -> np.ndarray:
-        """Process one token id in each of cache streams [0, B), appending one
-        row to every layer's cache; returns next-token logits (B, vocab)."""
-        c = self.config
-        pos = cache.length
+    def _step_position(self, tokens: list[int], cache: KvCache) -> int:
+        """A step's position in `cache`, checked against the context and the vocab."""
+        c, pos = self.config, cache.length
         if pos + 1 > c.max_seq_len:
             raise ContextOverflowError(f"sequence length {pos + 1} exceeds max_seq_len {c.max_seq_len}")
         if not 0 <= min(tokens) <= max(tokens) < c.vocab_size:
             raise DataError(f"token ids {tokens} out of range for vocab {c.vocab_size}")
+        return pos
+
+    def step(self, tokens: list[int], cache: KvCache, layout: PromptLayout,
+             policy: MaskPolicy | None = None) -> np.ndarray:
+        """Process one token id in each of cache streams [0, B), appending one
+        row to every layer's cache; returns next-token logits (B, vocab)."""
+        pos = np.array([self._step_position(tokens, cache)])
         x = self.checkpoint["embedding"].take(tokens, axis=0)
-        return self._forward(x[:, None], cache, np.array([pos]), layout, policy)[:, 0]
+        parts = [(cache, len(tokens), pos, layout, policy)]
+        return self._forward(x, parts, *self._rope_tables(pos), self._matmul(len(x)))
+
+    def step_many(self, requests: list[tuple]) -> list[np.ndarray]:
+        """`step(*r)` for every request r = (tokens, cache, layout, policy) in one
+        forward, bitwise equal to stepping each alone; one request takes `step`."""
+        if len(requests) == 1:
+            return [self.step(*requests[0])]
+        order = sorted(range(len(requests)), key=lambda i: len(requests[i][0]))  # rows grouped by width
+        reqs = [requests[i] for i in order]
+        widths = [len(tokens) for tokens, *_ in reqs]
+        positions = [self._step_position(tokens, cache) for tokens, cache, *_ in reqs]  # all checked first
+        groups = [(m, widths.count(m)) for m in sorted(set(widths))]
+
+        def mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:  # per width m, (R, m, k) @ w: each request's own call
+            outs, lo = [], 0
+            for m, r in groups:
+                out = self._matmul(m)(a[lo : lo + r * m].reshape(r, m, -1), w if w.ndim == 2 else w[:, None])
+                outs.append(out.reshape(*out.shape[:-3], r * m, -1))
+                lo += r * m
+            return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
+
+        x = self.checkpoint["embedding"].take([t for tokens, *_ in reqs for t in tokens], axis=0)
+        cs, sn = self._rope_tables(np.array(positions).repeat(widths))
+        parts = [(cache, m, np.array([pos]), layout, policy)
+                 for (_, cache, layout, policy), m, pos in zip(reqs, widths, positions)]
+        logits, ends = self._forward(x, parts, cs[:, None], sn[:, None], mm), np.array(widths).cumsum().tolist()
+        out = {i: logits[end - m : end] for i, m, end in zip(order, widths, ends)}
+        return [out[i] for i in range(len(requests))]
 
     def prefill(
         self,
@@ -340,45 +369,44 @@ class Engine:
             raise ContextOverflowError(f"prompt length {n} exceeds max_seq_len {c.max_seq_len}")
         if base >= n:
             raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
-        x = self.embed_prompt(prompt, base)
-        out = self._forward(x[None], cache, np.arange(base, n), prompt.layout(), policy)[0]
+        x, positions = self.embed_prompt(prompt, base), np.arange(base, n)
+        parts = [(cache, 1, positions, prompt.layout(), policy)]
+        out = self._forward(x, parts, *self._rope_tables(positions), self._matmul(len(x)))
         return out if return_all_logits else out[-1]
 
-    def _forward(
-        self,
-        x: np.ndarray,
-        cache: KvCache,
-        positions: np.ndarray,
-        layout: PromptLayout,
-        policy: MaskPolicy | None,
-    ) -> np.ndarray:
-        """Run input rows x (B, T, d_model) of cache streams [0, B), all at
-        `positions` (T,), through every block, appending their k/v rows to
-        `cache`; returns logits (B, T, vocab)."""
+    def _forward(self, x: np.ndarray, parts: list, cs: np.ndarray, sn: np.ndarray, mm: Callable) -> np.ndarray:
+        """Run input rows x (N, d_model) through every block, with rope factors cs, sn and multiply `mm`;
+        returns logits (N, vocab). Each part (cache, B, positions (T,), layout, policy) owns the next B*T
+        rows, stream-major, appended to its cache's streams [0, B); attention runs per part. Parts after
+        the first are steps (T = 1)."""
         c = self.config
-        B, T = x.shape[:2]
         H, dk = c.n_heads, c.d_head
-        x = x.reshape(B * T, c.d_model)  # rows stream-major, as the policy gets them
+        cache, _, positions = parts[0][:3]
+        T = len(positions)
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
-        cs, sn = self._rope_tables(positions)
-        mm = self._matmul(B * T)
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
-            qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, B, T, H, dk)
-            q, k = _rope(qkv[:2], cs, sn, self._rope_perm)
-            cache.extend(layer, qkv[1:])  # k (rotated) and v
-            K = cache.keys(layer, B)  # (B, H, S, dk)
-            # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
-            logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
-            masks = None if policy is None else policy(layer, q.reshape(B * T, H, dk), K, logits, positions, layout)
-            logits *= self._inv_sqrt_dk
-            if future is not None:
-                np.copyto(logits, np.float32(-np.inf), where=future)
-            w = _softmax(logits)  # (B, H, T, S)
-            ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
-            if masks is not None:
-                ctx *= masks[:, :, None]
-            x = x + mm(ctx.reshape(B * T, c.d_model), wo)
+            qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, -1, T, H, dk)
+            qs, _ = _rope(qkv[:2], cs, sn, self._rope_perm)
+            ctxs, lo = [], 0
+            for cache, B, positions, layout, policy in parts:
+                q = qs[lo : lo + B]
+                cache.extend(layer, qkv[1:, lo : lo + B])  # k (rotated) and v
+                K = cache.keys(layer, B)  # (B, H, S, dk)
+                # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
+                logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+                masks = None if policy is None else policy(layer, q.reshape(B * T, H, dk), K, logits, positions, layout)
+                logits *= self._inv_sqrt_dk
+                if future is not None:
+                    np.copyto(logits, np.float32(-np.inf), where=future)
+                w = _softmax(logits)  # (B, H, T, S)
+                ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
+                if masks is not None:
+                    ctx *= masks[:, :, None]
+                ctxs.append(ctx)
+                lo += B
+            ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
+            x = x + mm(ctx.reshape(-1, c.d_model), wo)
             x = x + mm(gelu(mm(rmsnorm(x, ffn_norm), w1)), w2)
         ck = self.checkpoint
-        return mm(rmsnorm(x, ck["final_norm"]), ck["output"]).reshape(B, T, -1)
+        return mm(rmsnorm(x, ck["final_norm"]), ck["output"])

@@ -9,6 +9,8 @@ fresh for every query position, so the suppressed subset is dynamic.
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -115,6 +117,15 @@ class MaskTraceWriter:
             if row % T >= first
         ]
         self._fh.write("".join(lines))
+
+    def buffer(self) -> MaskTraceWriter:
+        """A writer of this trace's lines into memory, for `commit` in corpus order."""
+        twin = copy.copy(self)
+        twin._fh = io.StringIO()
+        return twin
+
+    def commit(self, buffer: MaskTraceWriter) -> None:
+        self._fh.write(buffer._fh.getvalue())
 
     def close(self) -> None:
         self._fh.close()

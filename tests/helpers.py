@@ -5,17 +5,21 @@ the SPIN policy against."""
 from __future__ import annotations
 
 import copy
+import io
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
+from spin_infer import __version__
 from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty, generate
 from spin_infer.engine import ROPE_BASE, Engine, KvCache, MultimodalPrompt
-from spin_infer.errors import ConfigError, ContextOverflowError, DataError
-from spin_infer.metrics import build_multiturn_context
+from spin_infer.errors import ConfigError, ContextOverflowError, DataError, SpinInferError
+from spin_infer.metrics import CaptionRecord, build_multiturn_context, chair_scores, pope_eval
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64, derive_seed
+from spin_infer.runner import REPORT_NOTES
+from spin_infer.spin import MaskTraceWriter, SpinPolicy
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -247,6 +251,65 @@ def reference_eval_record(engine: Engine, record, cfg, table, policy=None):
         outs.append(ids)
         turns.append((q_ids, [t for t in ids if t != table.eos_id]))
     return prompts, outs, 0
+
+
+def reference_eval(cfg, inputs) -> tuple[dict, str]:
+    """The eval one record at a time, one `generate` per request, each
+    record's requests sharing one full-length cache. Returns the report less
+    timing, throughput and config, and the mask trace text."""
+    engine, records, vocab, table = inputs
+    ev, mc = cfg.eval, engine.config
+    fh = io.StringIO()
+    policy = None
+    if cfg.spin:
+        policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads, MaskTraceWriter(fh, mc.n_layers, mc.n_heads, cfg.spin))
+    generations, failures, captions, answered = {}, {}, [], []
+    skipped = caption_length = 0
+    for rec in records:
+        try:
+            base = MultimodalPrompt([], rec.vision, rec.prompt_ids)
+            cache = engine.new_cache(cfg.decode.n_streams)
+            dcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, rec.record_id))
+            caption = generate(engine, base, dcfg, policy, table, cache)
+            answers, items, turns, rec_skipped = [], [], [], 0
+            for j, item in enumerate(rec.pope if ev.pope else []):
+                q_ids = table.encode_text(item.question())
+                prior = turns if ev.pope_mode == "multi_turn" else []
+                if not prior:
+                    cache.truncate(len(base))
+                pcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, rec.record_id, "pope", j),
+                               max_new_tokens=ev.pope_max_new_tokens)
+                try:
+                    res = generate(engine, build_multiturn_context(base, prior, q_ids), pcfg, policy, table, cache)
+                except ContextOverflowError:
+                    rec_skipped = len(rec.pope) - j
+                    break
+                answers.append(res.token_ids)
+                items.append(replace(item, answer=res.text))
+                turns.append((q_ids, [t for t in res.token_ids if t != table.eos_id]))
+        except SpinInferError as e:
+            failures[rec.record_id] = f"{type(e).__name__}: {e}"
+            continue
+        generations[rec.record_id] = {"caption": caption.token_ids, "pope": answers}
+        captions.append(CaptionRecord(rec.record_id, caption.text, frozenset(rec.gt_objects)))
+        caption_length += len(caption.token_ids) - caption.ended_at_eos
+        answered += items
+        skipped += rec_skipped
+    report = {
+        "version": __version__,
+        "metrics": {
+            "chair": chair_scores(captions, vocab).to_dict() if ev.chair else None,
+            "pope": pope_eval(answered).to_dict() if ev.pope and answered else None,
+            "mean_caption_length": caption_length / len(generations) if ev.chair else None,
+            "n_records": len(generations),
+            "n_failed_records": len(failures),
+            "notes": list(REPORT_NOTES),
+        },
+        "generations": generations,
+        "failures": failures,
+        "pope_skipped": skipped,
+    }
+    return report, fh.getvalue()
 
 
 def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:

@@ -324,7 +324,9 @@ class TestSoftmaxAndCausality:
         cache_b = engine.new_cache()
         layout = p.layout()
         for pos, row in enumerate(engine.embed_prompt(p)):
-            logits_b = engine._forward(row[None, None], cache_b, np.array([pos]), layout, None)[0, 0]
+            positions = np.array([pos])
+            parts = [(cache_b, 1, positions, layout, None)]
+            logits_b = engine._forward(row[None], parts, *engine._rope_tables(positions), engine._matmul(1))[0]
         assert np.allclose(logits_a, logits_b, atol=1e-4)
         assert int(np.argmax(logits_a)) == int(np.argmax(logits_b))
 
@@ -536,3 +538,88 @@ class TestPlannedMultiply:
         assert _plan(5, w2) is None
         assert _plan(5, w1) is not None  # K = 256 is one chunk either way
         assert np.array_equal(beam_step(Engine(c6_engine.checkpoint)), want)
+
+
+STRATEGIES = ("image_attention", "total_attention", "query_norm", "key_norm")
+APPLY_MODES = ("all_text_queries", "generated_text_queries_only")
+STEP_MANY_ENGINE = tiny_engine(seed=7)
+
+
+@st.composite
+def step_requests(draw, engine):
+    """An `Engine.step` request drawn over a fresh cache: 1-3 live streams of
+    a cache of up to 3, a prompt of its own length, 0-3 earlier steps, and no
+    policy or a SpinPolicy with any strategy and apply_to mode."""
+    c = engine.config
+    width = draw(st.integers(1, 3))
+    prompt = random_prompt(draw(st.integers(0, 2**16)), c, n_prefix=draw(st.integers(0, 3)),
+                           n_vision=draw(st.integers(1, 5)), n_suffix=draw(st.integers(0, 4)))
+    layout = prompt.layout()
+    cache = engine.new_cache(draw(st.integers(width, 3)))
+    engine.prefill(prompt, cache)
+    cache.select([0] * cache.n_streams)
+    tokens = st.lists(st.integers(0, c.vocab_size - 1), min_size=width, max_size=width)
+    for _ in range(draw(st.integers(0, 3))):
+        engine.step(draw(tokens), cache, layout)
+    policy = draw(st.none() | st.builds(
+        lambda strategy, apply_to, alpha, hi: SpinPolicy(
+            SpinConfig(strategy=strategy, r=0.5, alpha=alpha, layer_lo=1, layer_hi=hi, apply_to=apply_to),
+            c.n_layers, c.n_heads),
+        st.sampled_from(STRATEGIES), st.sampled_from(APPLY_MODES), st.sampled_from([0.0, 0.3]),
+        st.integers(1, c.n_layers)))
+    return draw(tokens), cache, layout, policy
+
+
+class TestStepMany:
+    """Requests stepped together give each request's own `Engine.step`
+    logits and cache rows bit for bit."""
+
+    @staticmethod
+    def assert_matches_step_per_request(engine, requests):
+        refs = [copy_cache(cache) for _, cache, _, _ in requests]
+        want = [engine.step(tokens, ref, layout, policy) for (tokens, _, layout, policy), ref in zip(requests, refs)]
+        got = engine.step_many(requests)
+        assert len(got) == len(requests)
+        for (_, cache, _, _), ref, g, w in zip(requests, refs, got, want):
+            assert np.array_equal(g, w)
+            assert layer_lengths(cache) == layer_lengths(ref)
+            assert np.array_equal(cache.kv, ref.kv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_step_per_request(self, data):
+        requests = data.draw(st.lists(step_requests(STEP_MANY_ENGINE), min_size=1, max_size=6))
+        self.assert_matches_step_per_request(STEP_MANY_ENGINE, requests)
+
+    def test_planned_multiplies(self):
+        """Beams of 5 on the criterion-6 model plan w1 and w2: stacked, the
+        plans still give each request's own bits."""
+        engine = Engine(init_checkpoint(CRITERION_6, 123))
+        assert engine._matmul(5) is not np.matmul
+        requests = []
+        for seed, width in ((1, 5), (2, 5), (3, 2), (4, 5)):
+            prompt = random_prompt(seed, CRITERION_6, n_prefix=1, n_vision=3 + seed, n_suffix=2)
+            cache = engine.new_cache(width)
+            engine.prefill(prompt, cache)
+            cache.select([0] * width)
+            requests.append((list(range(seed, seed + width)), cache, prompt.layout(), None))
+        self.assert_matches_step_per_request(engine, requests)
+
+    def test_one_request_takes_step(self, engine, prompt, monkeypatch):
+        cache, layout, _ = prefill_and_layout(engine, prompt)
+        calls = []
+        monkeypatch.setattr(Engine, "step", lambda self, *args: calls.append(args) or np.zeros((1, 1)))
+        assert engine.step_many([([3], cache, layout, None)])[0].shape == (1, 1)
+        assert calls == [([3], cache, layout, None)]
+
+    def test_checks_every_request_before_any_row(self):
+        engine = tiny_engine(seed=7, max_seq_len=12)
+        prompts = [random_prompt(s, engine.config, n_suffix=n) for s, n in ((1, 1), (2, 6))]  # 7 and 12 rows
+        caches = [engine.new_cache() for _ in prompts]
+        for prompt, cache in zip(prompts, caches):
+            engine.prefill(prompt, cache)
+        before = [cache.kv.copy() for cache in caches]
+        with pytest.raises(ContextOverflowError):
+            engine.step_many([([1], cache, prompt.layout(), None) for prompt, cache in zip(prompts, caches)])
+        assert all(np.array_equal(cache.kv, kv) for cache, kv in zip(caches, before))
+        assert [cache.length for cache in caches] == [7, 12]

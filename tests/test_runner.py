@@ -1,16 +1,23 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spin_infer
 from spin_infer.config import load_run_config
+from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
 from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
-from spin_infer.runner import load_eval_inputs, run_eval, spin_eval_fn
+from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
+from spin_infer.runner import IN_FLIGHT, load_eval_inputs, run_eval, spin_eval_fn
 from spin_infer.spin import SpinPolicy
 
-from helpers import reference_eval_record
+from helpers import reference_eval, reference_eval_record
 
 
 def strip_timing(report: dict) -> dict:
@@ -313,6 +320,90 @@ class TestPrefixReuse:
                                         return_all_logits=True)[len(prompt) - 1 :]
                 picked = logits[np.arange(len(tokens)), tokens]
                 assert np.all(picked >= logits.max(axis=1) - 1e-4), rid
+
+
+class TestRecordsInFlight:
+    """Records decoded together, one batched step per token, give the report
+    and mask trace of one record at a time."""
+
+    def test_same_report_and_trace_as_one_record_at_a_time(self, workspace, tmp_path, monkeypatch):
+        lines = [json.loads(line) for line in workspace.corpus.read_text().splitlines()]
+        flipped = [{**rec, "id": f"{rec['id']}b", "vision_embeddings": (-np.array(rec["vision_embeddings"])).tolist()}
+                   for rec in lines]
+        records = lines + flipped
+        records[5]["vision_embeddings"][0][0] = float("nan")
+        assert len(records) > IN_FLIGHT + 1
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        trace = tmp_path / "masks.jsonl"
+        cfg = load_run_config(workspace.run_config(
+            tmp_path / "run.json",
+            model={"checkpoint": str(small_checkpoint(workspace, tmp_path / "small.spnm"))},
+            decode={"max_new_tokens": 4},  # the pope_overflow case: POPE contexts overflow
+            spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 1]},
+            eval={"corpus": str(corpus)},
+            output={"trace_masks": str(trace)},
+        ), environ={})
+        want, want_trace = reference_eval(cfg, load_eval_inputs(cfg, "eval"))
+
+        sizes, forwards = [], []  # requests per step_many; parts per forward
+        step_many, forward = Engine.step_many, Engine._forward
+
+        def counted_step_many(self, requests):
+            sizes.append(len(requests))
+            return step_many(self, requests)
+
+        def counted_forward(self, x, parts, *rest):
+            forwards.append(len(parts))
+            return forward(self, x, parts, *rest)
+
+        monkeypatch.setattr(Engine, "step_many", counted_step_many)
+        monkeypatch.setattr(Engine, "_forward", counted_forward)
+        report = run_eval(cfg)
+        got = strip_timing(report)
+        got.pop("config")
+        assert got == want
+        assert trace.read_text() == want_trace
+        assert list(report["failures"]) == [records[5]["id"]] and report["pope_skipped"] > 0
+        # up to IN_FLIGHT requests per step, and a step of several requests is one forward over all of them
+        assert max(sizes) == IN_FLIGHT and min(sizes) >= 1
+        assert sorted(n for n in forwards if n > 1) == sorted(n for n in sizes if n > 1)
+
+
+class TestThreadCountInvariance:
+    def test_one_and_two_blas_threads_give_the_same_outputs(self, tmp_path):
+        """A 4-record README quick-start eval (SPIN r 0.25 on all 4 layers,
+        greedy, multi-turn POPE) writes the same report, less timing, and the
+        same mask trace bytes with one BLAS thread as with two."""
+        paths = generate_synthetic_corpus(
+            SyntheticCorpusSpec(n_images=4, span_len=48, embed_dim=64, n_objects=24, objects_per_image=3, seed=7),
+            tmp_path,
+        )
+        model = ModelConfig(n_layers=4, n_heads=8, d_model=64, d_ffn=256, vocab_size=len(TokenTable.load(paths.tokens)),
+                            max_seq_len=512)
+        save_checkpoint(init_checkpoint(model, 1), tmp_path / "model.spnm")
+        src = str(Path(spin_infer.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            config = {
+                "model": {"checkpoint": str(tmp_path / "model.spnm")},
+                "spin": {"strategy": "image_attention", "r": 0.25, "alpha": 0.0, "layer_range": [1, 4]},
+                "decode": {"strategy": "greedy", "max_new_tokens": 32, "eos_id": 0, "seed": 7},
+                "eval": {"corpus": str(paths.corpus), "vocab": str(paths.vocab), "tokens": str(paths.tokens)},
+                "output": {"report_json": str(out / "report.json"), "trace_masks": str(out / "masks.jsonl")},
+            }
+            (out / "run.json").write_text(json.dumps(config))
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+            main = "import sys; from spin_infer.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", main, "eval", "--config", str(out / "run.json")],
+                           env=env, check=True, capture_output=True)
+            report = json.loads((out / "report.json").read_text())
+            assert report["metrics"]["n_records"] == 4
+            outputs.append((report_digest(report), (out / "masks.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestTunerIntegration:
