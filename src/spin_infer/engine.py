@@ -4,11 +4,11 @@ Architecture: pre-norm residual blocks, RMSNorm, rotary position embedding
 on q/k, GELU (tanh approximation) FFN, no biases. Everything runs in
 float32 so runs are reproducible bit-for-bit.
 
-`prefill` (the prompt rows a cache lacks, one stream) and `step` (one
-token in each of B streams) share one forward over B streams x T rows,
-with one multiply per weight over all rows (`_plan`) and per-stream attention.
-`step_many` steps several requests in that forward, bitwise as if each
-stepped alone.
+`prefill` (the prompt rows a cache lacks, one stream) and `step_many` (one
+token in each of B streams of several requests) share one forward, with
+per-stream attention and one multiply per weight (`_plan`): a lone part's
+2-D product, or consecutive parts of one row count stacked, each bitwise as
+if stepped alone. `step` is `step_many` of one request.
 A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
@@ -29,6 +29,7 @@ profiler) is a policy too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -283,12 +284,12 @@ class Engine:
         return KvCache(c.n_layers, c.n_heads, c.d_head, min(max_len or c.max_seq_len, c.max_seq_len), n_streams)
 
     def _rope_tables(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """rope factors C = [cos, cos] and S = [-sin, sin] (T, 1, dk) for rows
-        at `positions`; 1 and 0 on an odd trailing dim, whose angle is 0."""
-        ang = positions.astype(np.float32)[:, None] * self._rope_freq
+        """rope factors C = [cos, cos] and S = [-sin, sin] (..., 1, dk) for rows at `positions` (...),
+        a table row per stream and row in the forward; 1 and 0 on an odd trailing dim, whose angle is 0."""
+        ang = positions.astype(np.float32)[..., None] * self._rope_freq
         sn = np.sin(ang)
         sn *= self._rope_sign
-        return np.cos(ang)[:, None], sn[:, None]
+        return np.cos(ang)[..., None, :], sn[..., None, :]
 
     def _embed_id(self, token_id: int) -> np.ndarray:
         if not 0 <= token_id < self.config.vocab_size:
@@ -317,37 +318,16 @@ class Engine:
              policy: MaskPolicy | None = None) -> np.ndarray:
         """Process one token id in each of cache streams [0, B), appending one
         row to every layer's cache; returns next-token logits (B, vocab)."""
-        pos = np.array([self._step_position(tokens, cache)])
-        x = self.checkpoint["embedding"].take(tokens, axis=0)
-        parts = [(cache, len(tokens), pos, layout, policy)]
-        return self._forward(x, parts, *self._rope_tables(pos), self._matmul(len(x)))
+        return self.step_many([(tokens, cache, layout, policy)])[0]
 
     def step_many(self, requests: list[tuple]) -> list[np.ndarray]:
         """`step(*r)` for every request r = (tokens, cache, layout, policy) in one
-        forward, bitwise equal to stepping each alone; one request takes `step`."""
-        if len(requests) == 1:
-            return [self.step(*requests[0])]
-        order = sorted(range(len(requests)), key=lambda i: len(requests[i][0]))  # rows grouped by width
-        reqs = [requests[i] for i in order]
-        widths = [len(tokens) for tokens, *_ in reqs]
-        positions = [self._step_position(tokens, cache) for tokens, cache, *_ in reqs]  # all checked first
-        groups = [(m, widths.count(m)) for m in sorted(set(widths))]
-
-        def mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:  # per width m, (R, m, k) @ w: each request's own call
-            outs, lo = [], 0
-            for m, r in groups:
-                out = self._matmul(m)(a[lo : lo + r * m].reshape(r, m, -1), w if w.ndim == 2 else w[:, None])
-                outs.append(out.reshape(*out.shape[:-3], r * m, -1))
-                lo += r * m
-            return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
-
-        x = self.checkpoint["embedding"].take([t for tokens, *_ in reqs for t in tokens], axis=0)
-        cs, sn = self._rope_tables(np.array(positions).repeat(widths))
-        parts = [(cache, m, np.array([pos]), layout, policy)
-                 for (_, cache, layout, policy), m, pos in zip(reqs, widths, positions)]
-        logits, ends = self._forward(x, parts, cs[:, None], sn[:, None], mm), np.array(widths).cumsum().tolist()
-        out = {i: logits[end - m : end] for i, m, end in zip(order, widths, ends)}
-        return [out[i] for i in range(len(requests))]
+        forward, bitwise equal to stepping each alone."""
+        parts = [(cache, len(tokens), np.array([self._step_position(tokens, cache)]), layout, policy)
+                 for tokens, cache, layout, policy in requests]  # every request checked before any row is written
+        logits = self._forward(self.checkpoint["embedding"].take([t for r in requests for t in r[0]], axis=0), parts)
+        ends = itertools.accumulate(len(tokens) for tokens, *_ in requests)
+        return [logits[end - len(tokens) : end] for (tokens, *_), end in zip(requests, ends)]
 
     def prefill(
         self,
@@ -369,21 +349,34 @@ class Engine:
             raise ContextOverflowError(f"prompt length {n} exceeds max_seq_len {c.max_seq_len}")
         if base >= n:
             raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
-        x, positions = self.embed_prompt(prompt, base), np.arange(base, n)
-        parts = [(cache, 1, positions, prompt.layout(), policy)]
-        out = self._forward(x, parts, *self._rope_tables(positions), self._matmul(len(x)))
+        out = self._forward(self.embed_prompt(prompt, base), [(cache, 1, np.arange(base, n), prompt.layout(), policy)])
         return out if return_all_logits else out[-1]
 
-    def _forward(self, x: np.ndarray, parts: list, cs: np.ndarray, sn: np.ndarray, mm: Callable) -> np.ndarray:
-        """Run input rows x (N, d_model) through every block, with rope factors cs, sn and multiply `mm`;
-        returns logits (N, vocab). Each part (cache, B, positions (T,), layout, policy) owns the next B*T
-        rows, stream-major, appended to its cache's streams [0, B); attention runs per part. Parts after
-        the first are steps (T = 1)."""
+    def _forward(self, x: np.ndarray, parts: list) -> np.ndarray:
+        """Run input rows x (N, d_model) through every block; returns logits (N, vocab). Each part
+        (cache, B, positions (T,), layout, policy) owns the next B*T rows, stream-major, appended to its
+        cache's streams [0, B); attention runs per part. A part of T > 1 rows comes alone. A lone part
+        multiplies its rows as one 2-D product; consecutive parts of m rows each share one (R, m, k) @ w,
+        which makes each part's own BLAS call."""
         c = self.config
         H, dk = c.n_heads, c.d_head
         cache, _, positions = parts[0][:3]
         T = len(positions)
         future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
+        cs, sn = self._rope_tables(np.array([p for _, B, p, *_ in parts for _ in range(B)]))  # (streams, T, 1, dk)
+        if len(parts) == 1:
+            mm = self._matmul(len(x))
+        else:  # steps (T = 1)
+            runs = [(m, len(list(g))) for m, g in itertools.groupby(B for _, B, *_ in parts)]
+
+            def mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+                outs, lo = [], 0
+                for m, r in runs:
+                    out = self._matmul(m)(a[lo : lo + r * m].reshape(r, m, -1), w if w.ndim == 2 else w[:, None])
+                    outs.append(out.reshape(*out.shape[:-3], r * m, -1))
+                    lo += r * m
+                return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
+
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
             qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, -1, T, H, dk)

@@ -259,6 +259,32 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == 3
 
+    @pytest.mark.parametrize("command, args", [
+        ("eval", []),
+        ("profile", ["--out-prefix", "prof"]),
+        ("tune", ["--r-grid", "0.25", "--alpha-grid", "0.0", "--layer-grids", "1-2", "--out", "sweep.json"]),
+    ])
+    def test_vision_width_mismatch_exit_3_without_outputs(self, workspace, tmp_path, capsys, command, args):
+        """Every record's vision width is checked against d_model before the
+        first record runs, so a bad corpus writes no report, trace or profile."""
+        spec = SyntheticCorpusSpec(n_images=3, span_len=4, embed_dim=16, n_objects=10, objects_per_image=2, seed=3)
+        corpus = generate_synthetic_corpus(spec, tmp_path / "corpus").corpus
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = workspace.run_config(
+            tmp_path / "run.json",
+            eval={"corpus": str(corpus)},
+            spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]},
+            output={"report_json": str(out / "r.json"), "report_csv": str(out / "r.csv"),
+                    "trace_masks": str(out / "masks.jsonl")},
+        )
+        argv = [str(out / a) if a in ("prof", "sweep.json") else a for a in args]
+        code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *argv)
+        assert code == 3
+        assert err.strip() == "data error: record img0000: vision dim 16 != d_model 24"
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
 
 class TestProfileHeatmapTune:
     def test_profile_writes_outputs(self, workspace, tmp_path, capsys):

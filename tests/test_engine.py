@@ -326,7 +326,7 @@ class TestSoftmaxAndCausality:
         for pos, row in enumerate(engine.embed_prompt(p)):
             positions = np.array([pos])
             parts = [(cache_b, 1, positions, layout, None)]
-            logits_b = engine._forward(row[None], parts, *engine._rope_tables(positions), engine._matmul(1))[0]
+            logits_b = engine._forward(row[None], parts)[0]
         assert np.allclose(logits_a, logits_b, atol=1e-4)
         assert int(np.argmax(logits_a)) == int(np.argmax(logits_b))
 
@@ -605,12 +605,29 @@ class TestStepMany:
             requests.append((list(range(seed, seed + width)), cache, prompt.layout(), None))
         self.assert_matches_step_per_request(engine, requests)
 
-    def test_one_request_takes_step(self, engine, prompt, monkeypatch):
-        cache, layout, _ = prefill_and_layout(engine, prompt)
-        calls = []
-        monkeypatch.setattr(Engine, "step", lambda self, *args: calls.append(args) or np.zeros((1, 1)))
-        assert engine.step_many([([3], cache, layout, None)])[0].shape == (1, 1)
-        assert calls == [([3], cache, layout, None)]
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_lone_part_multiplies_in_2d(self, engine, prompt, monkeypatch, width):
+        """`prefill` and `step` each run one forward of one part, and every
+        weight product in it takes its rows as one 2-D operand."""
+        forwards, ndims = [], []  # parts per forward; ndim of each product's left operand
+        forward, matmul = Engine._forward, engine._matmul
+
+        def counted_forward(self, x, parts):
+            forwards.append(len(parts))
+            return forward(self, x, parts)
+
+        def recorded_matmul(rows):
+            mm = matmul(rows)
+            return lambda a, w: ndims.append(a.ndim) or mm(a, w)
+
+        monkeypatch.setattr(Engine, "_forward", counted_forward)
+        monkeypatch.setattr(engine, "_matmul", recorded_matmul)
+        cache = engine.new_cache(width)
+        engine.prefill(prompt, cache)
+        cache.select([0] * width)
+        engine.step(list(range(1, width + 1)), cache, prompt.layout())
+        assert forwards == [1, 1]
+        assert ndims == [2] * 2 * (4 * engine.config.n_layers + 1)  # q/k/v, wo, w1, w2 per layer, then the LM head
 
     def test_checks_every_request_before_any_row(self):
         engine = tiny_engine(seed=7, max_seq_len=12)
