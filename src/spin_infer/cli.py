@@ -1,6 +1,9 @@
 """Command-line surface: spin-infer <subcommand>.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
+Every command that decodes (generate, eval, profile, tune) reads one run
+config, --config; a one-off setting is a SPIN__SECTION__KEY environment
+override of it. Exit codes: 0 success, 2 config error, 3 data error, 4
+runtime error.
 """
 
 from __future__ import annotations
@@ -13,59 +16,13 @@ import sys
 
 from . import __version__
 from .analytics import aggregate_masks, profile_attention, tune_three_stage
-from .config import load_run_config, load_spin_config
-from .corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus, load_corpus
-from .decoding import DecodeConfig, generate
-from .engine import Engine, MultimodalPrompt
+from .config import load_run_config
+from .corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
+from .decoding import generate
+from .engine import MultimodalPrompt
 from .errors import ConfigError, DataError, SpinInferError
-from .model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
-from .runner import load_eval_inputs, run_eval, spin_eval_fn
-from .spin import MaskTraceWriter, SpinPolicy
-
-log = logging.getLogger("spin_infer")
-
-
-def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decode", choices=("greedy", "beam", "nucleus"), default="greedy")
-    p.add_argument("--beam-width", type=int, default=5)
-    p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--rep-penalty", type=float, default=1.0)
-    p.add_argument("--max-new", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eos-id", type=int, default=0)
-
-
-def _decode_from_args(args) -> DecodeConfig:
-    return DecodeConfig(
-        strategy=args.decode,
-        beam_width=args.beam_width,
-        nucleus_p=args.top_p,
-        repetition_penalty=args.rep_penalty,
-        max_new_tokens=args.max_new,
-        eos_id=args.eos_id,
-        seed=args.seed,
-    )
-
-
-def _input_file(flag: str, path: str) -> str:
-    """`path` as given to `flag`; a missing file or a directory is a config error."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"{flag}: file not found: {path}")
-    return path
-
-
-def _prompt_from_corpus(path: str, record_id: str | None, index: int) -> MultimodalPrompt:
-    records = load_corpus(path)
-    if record_id is not None:
-        matches = [r for r in records if r.record_id == record_id]
-        if not matches:
-            raise DataError(f"{path}: no record with id {record_id!r}")
-        rec = matches[0]
-    else:
-        if not 0 <= index < len(records):
-            raise DataError(f"{path}: record index {index} out of range ({len(records)} records)")
-        rec = records[index]
-    return MultimodalPrompt([], rec.vision, rec.prompt_ids)
+from .model import ModelConfig, init_checkpoint, save_checkpoint
+from .runner import build_policy, load_eval_inputs, run_eval, spin_eval_fn
 
 
 def cmd_init_ckpt(args) -> int:
@@ -104,27 +61,18 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    engine = Engine(load_checkpoint(_input_file("--ckpt", args.ckpt)))
-    prompt = _prompt_from_corpus(_input_file("--prompt", args.prompt), args.record_id, args.index)
-    decode = _decode_from_args(args)
-    table = TokenTable.load(_input_file("--tokens", args.tokens)) if args.tokens else None
-
-    policy = None
-    trace = None
-    if args.spin:
-        spin_cfg = load_spin_config(args.spin)
-        mc = engine.config
-        # the policy validates the layer range before the trace file is created
-        policy = SpinPolicy(spin_cfg, mc.n_layers, mc.n_heads)
-        if args.trace_masks:
-            trace = policy.trace = MaskTraceWriter(
-                open(args.trace_masks, "w", encoding="utf-8"), mc.n_layers, mc.n_heads, spin_cfg
-            )
+    cfg = load_run_config(args.config)
+    engine, records, _, table = load_eval_inputs(cfg, "generate")
+    rec = next((r for r in records if args.record_id in (None, r.record_id)), None)
+    if rec is None:
+        raise DataError(f"{cfg.eval.corpus}: no record with id {args.record_id!r} in the first {len(records)} records")
+    prompt = MultimodalPrompt([], rec.vision, rec.prompt_ids)
+    policy = build_policy(cfg, engine)
     try:
-        result = generate(engine, prompt, decode, policy, token_table=table)
+        result = generate(engine, prompt, cfg.decode, policy, token_table=table)
     finally:
-        if trace is not None:
-            trace.close()
+        if policy is not None and policy.trace is not None:
+            policy.trace.close()
     print(json.dumps({
         "token_ids": result.token_ids,
         "text": result.text,
@@ -148,8 +96,7 @@ def cmd_profile(args) -> int:
     cfg = load_run_config(args.config)
     engine, records, _, _ = load_eval_inputs(cfg, "profile")
     prompts = [MultimodalPrompt([], r.vision, r.prompt_ids) for r in records]
-    policy = SpinPolicy(cfg.spin, engine.config.n_layers, engine.config.n_heads) if cfg.spin else None
-    profile = profile_attention(engine, prompts, cfg.decode, policy)
+    profile = profile_attention(engine, prompts, cfg.decode, build_policy(cfg, engine, write_trace=False))
     profile.write_csv(args.out_prefix + ".csv")
     with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
         json.dump(profile.to_dict(), fh, indent=2)
@@ -158,7 +105,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    heatmap = aggregate_masks([_input_file("--traces", p) for p in args.traces])
+    for path in args.traces:  # a missing file or a directory
+        if not os.path.isfile(path):
+            raise ConfigError(f"--traces: file not found: {path}")
+    heatmap = aggregate_masks(args.traces)
     heatmap.write_csv(args.out_prefix + ".csv")
     with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
         json.dump(heatmap.to_dict(), fh, indent=2)
@@ -242,15 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_make_corpus)
 
-    p = sub.add_parser("generate", help="generate from one corpus record")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--prompt", required=True, help="corpus JSONL file")
-    p.add_argument("--record-id", default=None)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--tokens", default=None, help="token table for text output")
-    p.add_argument("--spin", default=None, help="JSON file with a spin config section")
-    p.add_argument("--trace-masks", default=None)
-    _add_decode_flags(p)
+    p = sub.add_parser("generate", help="generate from one corpus record of the configured eval")
+    p.add_argument("--config", required=True)
+    p.add_argument("--record-id", default=None, help="default: the first record")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("eval", help="run the configured evaluation")

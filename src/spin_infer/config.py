@@ -4,8 +4,7 @@ The file is read by `schema` into `RunConfig` and its section dataclasses,
 so every problem is a ConfigError naming the dotted key. Any key can be
 overridden with SPIN__SECTION__KEY environment variables (e.g.
 SPIN__DECODE__SEED=7); values are parsed as JSON with a plain-string
-fallback. Relative paths resolve against the config file's directory. A
-spin file goes through the same reader.
+fallback. Relative paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
@@ -147,19 +146,9 @@ def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> Run
     return replace(cfg, model=model, eval=ev, output=out)
 
 
-def _read_json(path: Path, what: str) -> dict:
-    """Parse a JSON file whose top level must be one object."""
-    if not path.is_file():
-        raise ConfigNotFoundError(f"{what} file not found: {path}")
-    return schema.load(dict, path.read_text(encoding="utf-8"), str(path), ConfigSyntaxError)
-
-
 def load_run_config(path: str | Path, environ=None) -> RunConfig:
     path = Path(path)
-    return parse_run_config(_read_json(path, "config"), base_dir=path.parent, environ=environ)
-
-
-def load_spin_config(path: str | Path) -> SpinConfig:
-    """Read a spin file: a bare spin section or an object with a "spin" key."""
-    raw = _read_json(Path(path), "spin config")
-    return schema.read(SpinConfig, _spin_fields(raw.get("spin", raw)), "spin", ConfigError)
+    if not path.is_file():
+        raise ConfigNotFoundError(f"config file not found: {path}")
+    raw = schema.load(dict, path.read_text(encoding="utf-8"), str(path), ConfigSyntaxError)
+    return parse_run_config(raw, base_dir=path.parent, environ=environ)

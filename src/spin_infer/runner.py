@@ -61,9 +61,9 @@ class EvalInputs(NamedTuple):
 
 
 def load_eval_inputs(cfg: RunConfig, command: str) -> EvalInputs:
-    """What `eval`, `profile` and `tune` read before their first record: the
-    engine, the first `eval.max_records` corpus records, the object
-    vocabulary and the token table, checked against the model."""
+    """What `eval`, `profile`, `tune` and `generate` read before their first
+    record: the engine, the first `eval.max_records` corpus records, the
+    object vocabulary and the token table, checked against the model."""
     if cfg.eval is None:
         raise ConfigError(f"eval: section missing (required by {command})")
     engine = build_engine(cfg)
@@ -81,6 +81,20 @@ def load_eval_inputs(cfg: RunConfig, command: str) -> EvalInputs:
                 f"record {rec.record_id}: vision dim {rec.vision.shape[1]} != d_model {mc.d_model}"
             )
     return EvalInputs(engine, records, vocab, table)
+
+
+def build_policy(cfg: RunConfig, engine: Engine, write_trace: bool = True) -> SpinPolicy | None:
+    """The run's SPIN policy, None without a `spin` section. With
+    `write_trace` and `output.trace_masks` set, it traces to that file."""
+    if cfg.spin is None:
+        return None
+    mc = engine.config
+    # the policy validates the layer range before the trace file is created
+    policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads)
+    if write_trace and cfg.output.trace_masks:
+        fh = open(cfg.output.trace_masks, "w", encoding="utf-8")
+        policy.trace = MaskTraceWriter(fh, mc.n_layers, mc.n_heads, cfg.spin)
+    return policy
 
 
 def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: TokenTable, policy: SpinPolicy | None
@@ -147,11 +161,8 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | No
     mc = engine.config
     ev = cfg.eval
 
-    # the policy validates the layer range before the trace file is created
-    policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads) if cfg.spin else None
-    trace = None
-    if write_outputs and cfg.output.trace_masks and policy is not None:
-        trace = MaskTraceWriter(open(cfg.output.trace_masks, "w", encoding="utf-8"), mc.n_layers, mc.n_heads, cfg.spin)
+    policy = build_policy(cfg, engine, write_outputs)
+    trace = policy and policy.trace  # when set, each record traces through its own policy into a buffer
 
     t_start = time.perf_counter()
     outcome: list = [None] * len(records)  # per record: what _eval_record returned, or its error

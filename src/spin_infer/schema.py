@@ -6,8 +6,8 @@ dataclasses it names: `int` takes a JSON integer only (no bool, no 2.0),
 `float` any JSON number but a bool, `str`, `bool` and `dict` that JSON type,
 `X | None` X or null, `list[X]` an array of X, and a dataclass an object with
 no unknown keys and every field that has no default, whose range checks stay
-in its `__post_init__`. Problems raise `error` (ConfigError for run config
-and spin files, DataError for data files) as `where: dotted.key: problem`.
+in its `__post_init__`. Problems raise `error` (ConfigError for the run
+config, DataError for data files) as `where: dotted.key: problem`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,14 @@ from pathlib import Path
 import pytest
 
 import spin_infer
-from spin_infer.cli import main
-from spin_infer.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
+from spin_infer.analytics import aggregate_masks, profile_attention
+from spin_infer.cli import build_parser, main
+from spin_infer.config import load_run_config
+from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus, load_corpus
+from spin_infer.decoding import DecodeConfig, generate
+from spin_infer.engine import Engine, MultimodalPrompt
+from spin_infer.model import load_checkpoint
+from spin_infer.spin import SpinPolicy
 
 
 def run_cli(capsys, *argv):
@@ -25,8 +32,6 @@ class TestInitCkpt:
             "--d-ffn", "16", "--vocab-size", "32", "--seed", "4", "--out", str(out),
         )
         assert code == 0
-        from spin_infer.model import load_checkpoint
-
         ck = load_checkpoint(out)
         assert ck.config.n_layers == 2
 
@@ -38,6 +43,15 @@ class TestInitCkpt:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("max_seq_len", [64, 300])
+    def test_max_seq_len_reaches_checkpoint(self, tmp_path, capsys, max_seq_len):
+        out = tmp_path / "m.spnm"
+        code, _, _ = run_cli(
+            capsys, "init-ckpt", "--layers", "1", "--heads", "2", "--d-model", "8", "--d-ffn", "8",
+            "--vocab-size", "16", "--max-seq-len", str(max_seq_len), "--out", str(out),
+        )
+        assert code == 0
+        assert load_checkpoint(out).config.max_seq_len == max_seq_len
 
     def test_closed_stdout_pipe_exits_4_without_traceback(self, tmp_path):
         read_end, write_end = os.pipe()
@@ -77,110 +91,109 @@ class TestMakeCorpus:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--pope-pairs", "2"), ("--zipf-s", "2.0"), ("--noise", "0.3")])
+    def test_flag_reaches_corpus(self, tmp_path, capsys, flag, value):
+        """Each record has 6 x --pope-pairs POPE entries (yes and no, three
+        splits), and every flag changes the corpus bytes."""
+        argv = ["make-corpus", "--images", "3", "--span-len", "2", "--embed-dim", "8",
+                "--objects", "8", "--objects-per-image", "2", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--out-dir", str(tmp_path / "default"))[0] == 0
+        assert run_cli(capsys, *argv, flag, value, "--out-dir", str(tmp_path / "set"))[0] == 0
+        default, changed = [(tmp_path / d / "corpus.jsonl").read_text() for d in ("default", "set")]
+        assert changed != default
+        pairs = int(value) if flag == "--pope-pairs" else 1
+        assert [len(json.loads(line)["pope"]) for line in changed.splitlines()] == [6 * pairs] * 3
+
 
 class TestGenerate:
-    def test_outputs_json_result(self, workspace, capsys):
-        code, stdout, _ = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--tokens", str(workspace.tokens),
-            "--decode", "greedy", "--max-new", "6", "--seed", "3",
-        )
+    """`generate --config`: one record of the run config's eval corpus,
+    decoded with its `decode` section under its `spin` section."""
+
+    def test_outputs_json_result(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPIN__DECODE__MAX_NEW_TOKENS", "6")
+        monkeypatch.setenv("SPIN__DECODE__SEED", "3")
+        code, stdout, _ = run_cli(capsys, "generate", "--config", str(workspace.run_config(tmp_path / "run.json")))
         assert code == 0
         result = json.loads(stdout)
         assert len(result["token_ids"]) <= 6
         assert isinstance(result["text"], str)
+        assert set(result) == {"token_ids", "text", "n_new_tokens", "ended_at_eos", "truncated", "prefill_s",
+                               "decode_s"}
 
-    def test_spin_and_trace(self, workspace, tmp_path, capsys):
-        spin_path = tmp_path / "spin.json"
-        spin_path.write_text(json.dumps({"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}))
-        trace_path = tmp_path / "masks.jsonl"
-        code, stdout, _ = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--record-id", "img0001",
-            "--spin", str(spin_path), "--trace-masks", str(trace_path),
-            "--max-new", "6",
-        )
+    @pytest.mark.parametrize("record_id, env", [
+        (None, {}),
+        ("img0003", {"SPIN__DECODE__STRATEGY": "beam", "SPIN__DECODE__BEAM_WIDTH": "3"}),
+        ("img0002", {"SPIN__DECODE__STRATEGY": "nucleus", "SPIN__DECODE__NUCLEUS_P": "0.8",
+                     "SPIN__DECODE__REPETITION_PENALTY": "1.3", "SPIN__DECODE__EOS_ID": "null"}),
+    ], ids=["first_record_greedy", "beam", "nucleus"])
+    def test_decodes_record_with_run_config(self, workspace, tmp_path, capsys, monkeypatch, record_id, env):
+        """The record (the first without --record-id), decode section and SPIN
+        section are those of the run config, env overrides included."""
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        cfg_path = workspace.run_config(tmp_path / "run.json", spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]})
+        code, stdout, _ = run_cli(capsys, "generate", "--config", str(cfg_path),
+                                  *(["--record-id", record_id] if record_id else []))
         assert code == 0
-        from spin_infer.analytics import aggregate_masks
+        cfg = load_run_config(cfg_path)
+        assert cfg.decode.strategy == env.get("SPIN__DECODE__STRATEGY", "greedy")
+        rec = next(r for r in load_corpus(workspace.corpus) if record_id in (None, r.record_id))
+        engine = Engine(load_checkpoint(workspace.checkpoint))
+        want = generate(engine, MultimodalPrompt([], rec.vision, rec.prompt_ids), cfg.decode,
+                        SpinPolicy(cfg.spin, engine.config.n_layers, engine.config.n_heads),
+                        token_table=TokenTable.load(workspace.tokens))
+        result = json.loads(stdout)
+        assert (result["token_ids"], result["text"]) == (want.token_ids, want.text)
 
+    def test_spin_r_zero_is_the_baseline(self, workspace, tmp_path, capsys, monkeypatch):
+        spin = {"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}
+        code, plain, _ = run_cli(capsys, "generate", "--config", str(workspace.run_config(tmp_path / "plain.json")))
+        assert code == 0
+        monkeypatch.setenv("SPIN__SPIN__R", "0")
+        code, r_zero, _ = run_cli(capsys, "generate", "--config",
+                                  str(workspace.run_config(tmp_path / "spin.json", spin=spin)))
+        assert code == 0
+        assert json.loads(r_zero)["token_ids"] == json.loads(plain)["token_ids"]
+
+    def test_spin_and_trace(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPIN__DECODE__MAX_NEW_TOKENS", "6")
+        trace_path = tmp_path / "masks.jsonl"
+        cfg = workspace.run_config(tmp_path / "run.json", spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]},
+                                   output={"trace_masks": str(trace_path)})
+        code, stdout, _ = run_cli(capsys, "generate", "--config", str(cfg), "--record-id", "img0001")
+        assert code == 0
         hm = aggregate_masks([trace_path])
         assert hm.steps_per_layer.max() > 0
 
     def test_layer_range_beyond_model_exit_2_without_trace(self, workspace, tmp_path, capsys):
-        spin_path = tmp_path / "spin.json"
-        spin_path.write_text(json.dumps({"r": 0.5, "layer_range": [1, workspace.model_config.n_layers + 1]}))
         trace_path = tmp_path / "masks.jsonl"
-        code, _, err = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--spin", str(spin_path),
-            "--trace-masks", str(trace_path),
+        cfg = workspace.run_config(
+            tmp_path / "run.json",
+            spin={"r": 0.5, "layer_range": [1, workspace.model_config.n_layers + 1]},
+            output={"trace_masks": str(trace_path)},
         )
+        code, _, err = run_cli(capsys, "generate", "--config", str(cfg))
         assert code == 2
         assert "exceeds n_layers" in err
         assert not trace_path.exists()
 
-    def test_missing_record_exit_3(self, workspace, capsys):
-        code, _, err = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--record-id", "nope",
-        )
+    def test_missing_record_exit_3(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPIN__EVAL__MAX_RECORDS", "2")
+        cfg = workspace.run_config(tmp_path / "run.json")
+        code, _, err = run_cli(capsys, "generate", "--config", str(cfg), "--record-id", "img0003")
         assert code == 3
-        assert "data error" in err
+        assert err.strip() == f"data error: {workspace.corpus}: no record with id 'img0003' in the first 2 records"
 
-    def test_vision_width_mismatch_exit_3(self, workspace, tmp_path, capsys):
-        spec = SyntheticCorpusSpec(n_images=2, span_len=4, embed_dim=16, n_objects=10, objects_per_image=2, seed=3)
-        corpus = generate_synthetic_corpus(spec, tmp_path / "corpus").corpus
-        code, _, err = run_cli(capsys, "generate", "--ckpt", str(workspace.checkpoint), "--prompt", str(corpus))
-        assert code == 3
-        assert err.strip() == "data error: vision embedding dim 16 != d_model 24"
-
-    def test_missing_spin_file_exit_2(self, workspace, tmp_path, capsys):
-        code, _, _ = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--spin", str(tmp_path / "absent.json"),
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("flag", ["--ckpt", "--prompt", "--tokens"])
+    @pytest.mark.parametrize("key", ["model.checkpoint", "eval.corpus", "eval.vocab", "eval.tokens"])
     @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_missing_input_file_exit_2(self, workspace, tmp_path, capsys, flag, kind):
+    def test_missing_input_file_exit_2(self, workspace, tmp_path, capsys, key, kind):
         bad = tmp_path / "absent" if kind == "missing" else tmp_path
-        files = {"--ckpt": workspace.checkpoint, "--prompt": workspace.corpus, "--tokens": workspace.tokens, flag: bad}
-        code, _, err = run_cli(capsys, "generate", *[str(x) for item in files.items() for x in item])
+        section, name = key.split(".")
+        cfg = workspace.run_config(tmp_path / "run.json", **{section: {name: str(bad)}})
+        code, stdout, err = run_cli(capsys, "generate", "--config", str(cfg))
         assert code == 2
-        assert err.strip() == f"config error: {flag}: file not found: {bad}"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"r": 0.5, "layer_range": [1, 2]}\ntrailing',
-            '[{"r": 0.5, "layer_range": [1, 2]}]',
-            '{"r": 0.5, "layer_range": [1, 2], "temperature": 1.0}',
-        ],
-        ids=["trailing_garbage", "non_object", "unknown_key"],
-    )
-    def test_bad_spin_file_exit_2(self, workspace, tmp_path, capsys, text):
-        spin_path = tmp_path / "spin.json"
-        spin_path.write_text(text)
-        code, _, err = run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--spin", str(spin_path),
-        )
-        assert code == 2
-        assert "config error" in err
-
-    def test_bare_and_wrapped_spin_file_agree(self, workspace, tmp_path, capsys):
-        spin = {"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}
-        token_ids = []
-        for name, body in (("bare.json", spin), ("wrapped.json", {"spin": spin})):
-            (tmp_path / name).write_text(json.dumps(body))
-            code, stdout, _ = run_cli(
-                capsys, "generate", "--ckpt", str(workspace.checkpoint),
-                "--prompt", str(workspace.corpus), "--spin", str(tmp_path / name), "--max-new", "6",
-            )
-            assert code == 0
-            token_ids.append(json.loads(stdout)["token_ids"])
-        assert token_ids[0] == token_ids[1]
+        assert err.strip() == f"config error: {key}: file not found: {bad}"
+        assert stdout == ""
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -202,7 +215,8 @@ class TestGenerate:
         blob = json.dumps(header).encode()
         ckpt = tmp_path / "bad.spnm"
         ckpt.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
-        code, _, err = run_cli(capsys, "generate", "--ckpt", str(ckpt), "--prompt", str(workspace.corpus))
+        cfg = workspace.run_config(tmp_path / "run.json", model={"checkpoint": str(ckpt)})
+        code, _, err = run_cli(capsys, "generate", "--config", str(cfg))
         assert code == 3
         assert message in err
         assert "Traceback" not in err
@@ -263,6 +277,7 @@ class TestEval:
         ("eval", []),
         ("profile", ["--out-prefix", "prof"]),
         ("tune", ["--r-grid", "0.25", "--alpha-grid", "0.0", "--layer-grids", "1-2", "--out", "sweep.json"]),
+        ("generate", []),
     ])
     def test_vision_width_mismatch_exit_3_without_outputs(self, workspace, tmp_path, capsys, command, args):
         """Every record's vision width is checked against d_model before the
@@ -303,12 +318,6 @@ class TestProfileHeatmapTune:
         assert len(data["vision"]) == 2
 
     def test_profile_max_records_takes_first_records(self, workspace, tmp_path, capsys):
-        from spin_infer.analytics import profile_attention
-        from spin_infer.corpus import load_corpus
-        from spin_infer.decoding import DecodeConfig
-        from spin_infer.engine import Engine, MultimodalPrompt
-        from spin_infer.model import load_checkpoint
-
         decode = {"strategy": "greedy", "max_new_tokens": 4, "eos_id": None, "seed": 5}
         cfg = workspace.run_config(tmp_path / "run.json", decode=decode, eval={"max_records": 2})
         code, _, _ = run_cli(capsys, "profile", "--config", str(cfg), "--out-prefix", str(tmp_path / "prof"))
@@ -327,15 +336,12 @@ class TestProfileHeatmapTune:
         assert "vocab_size" in err
         assert not (tmp_path / "prof.json").exists()
 
-    def test_heatmap_command(self, workspace, tmp_path, capsys):
-        spin_path = tmp_path / "spin.json"
-        spin_path.write_text(json.dumps({"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}))
+    def test_heatmap_command(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPIN__DECODE__MAX_NEW_TOKENS", "4")
         trace_path = tmp_path / "masks.jsonl"
-        run_cli(
-            capsys, "generate", "--ckpt", str(workspace.checkpoint),
-            "--prompt", str(workspace.corpus), "--spin", str(spin_path),
-            "--trace-masks", str(trace_path), "--max-new", "4",
-        )
+        cfg = workspace.run_config(tmp_path / "run.json", spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]},
+                                   output={"trace_masks": str(trace_path)})
+        assert run_cli(capsys, "generate", "--config", str(cfg))[0] == 0
         code, _, _ = run_cli(
             capsys, "heatmap", "--traces", str(trace_path), "--out-prefix", str(tmp_path / "heat")
         )
@@ -388,3 +394,51 @@ class TestProfileHeatmapTune:
         sweep = json.loads((tmp_path / "sweep.json").read_text())
         assert sweep["selected"]["r"] == 0.25
         assert len(sweep["stages"]) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--strategy", "key_norm"), ("--f1-drop", "0.2"), ("--tradeoff", "0.5")])
+    def test_tune_flag_reaches_sweep(self, workspace, tmp_path, capsys, flag, value):
+        cfg = workspace.run_config(
+            tmp_path / "run.json",
+            eval={"pope": False, "max_records": 2},
+            decode={"strategy": "greedy", "max_new_tokens": 4, "eos_id": 0, "seed": 5},
+        )
+        code, _, _ = run_cli(
+            capsys, "tune", "--config", str(cfg), "--r-grid", "0.25", "--alpha-grid", "0.0",
+            "--layer-grids", "1-2", flag, value, "--out", str(tmp_path / "sweep.json"),
+        )
+        assert code == 0
+        want = {"--strategy": "image_attention", "--f1-drop": 0.03, "--tradeoff": 1.0}
+        want[flag] = value if flag == "--strategy" else float(value)
+        sweep = json.loads((tmp_path / "sweep.json").read_text())
+        assert (sweep["f1_drop_limit"], sweep["tradeoff_lambda"]) == (want["--f1-drop"], want["--tradeoff"])
+        strategies = [e["config"]["strategy"] for stage in sweep["stages"] for e in stage["entries"]]
+        assert strategies and set(strategies) == {want["--strategy"]}
+
+
+class TestTopLevel:
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_flag_shows_debug_records(self, tmp_path, verbose):
+        """-v configures logging at DEBUG: a debug record of the package's
+        logger then reaches stderr, in the CLI's log format."""
+        src = str(Path(spin_infer.__file__).resolve().parents[1])
+        argv = ["-v"] * verbose + ["init-ckpt", "--layers", "1", "--heads", "2", "--d-model", "8", "--d-ffn", "8",
+                                   "--vocab-size", "16", "--out", str(tmp_path / "m.spnm")]
+        script = ("import logging, sys; from spin_infer.cli import main; code = main(sys.argv[1:]); "
+                  "logging.getLogger('spin_infer').debug('probe'); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ("DEBUG spin_infer: probe" in proc.stderr) == verbose
+
+    def test_readme_quick_start_commands_parse(self):
+        """Every `spin-infer` command of the README quick start parses, so a
+        renamed or removed flag fails here rather than for a reader."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line.split(" #", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line) for line in lines if not line.lstrip().startswith("#") and "spin-infer" in line]
+        assert {argv[argv.index("spin-infer") + 1] for argv in commands} == {
+            "make-corpus", "init-ckpt", "eval", "generate", "profile", "heatmap", "tune"}
+        for argv in commands:
+            args = build_parser().parse_args(argv[argv.index("spin-infer") + 1 :])
+            assert callable(args.fn)

@@ -56,6 +56,13 @@ class TestPrompt:
         with pytest.raises(DataError):
             engine.embed_prompt(p)
 
+    def test_vision_width_mismatch_rejected(self):
+        """The engine's own check, for callers that skip the run loader."""
+        engine = tiny_engine(d_model=24)
+        p = MultimodalPrompt([1], np.zeros((2, 16), np.float32), [2])
+        with pytest.raises(DataError, match=r"^vision embedding dim 16 != d_model 24$"):
+            engine.embed_prompt(p)
+
     def test_extended_keeps_span(self, engine):
         p = random_prompt(0, engine.config)
         q = p.extended([1, 2, 3])

@@ -1,8 +1,8 @@
 """The JSON input boundary, end to end through `cli.main`.
 
-Every field of every JSON input file (run config, spin file, corpus line and
-POPE entry, token table, checkpoint header and tensor entry, trace header
-and trace record), set to each JSON type it must not take, is an exit 2
+Every field of every JSON input file (run config, corpus line and POPE
+entry, token table, checkpoint header and tensor entry, trace header and
+trace record), set to each JSON type it must not take, is an exit 2
 (config) or 3 (data) whose message names the field, and no report, trace
 or heatmap file is written.
 """
@@ -44,7 +44,6 @@ RUN_FIELDS = {
 INIT_FIELDS = {"model.init": "on", "model.init.seed": "i", "model.init.config": "o"} | {
     f"model.init.config.{k}": "i" for k in ("n_layers", "n_heads", "d_model", "d_ffn", "vocab_size", "max_seq_len")
 }
-SPIN_FIELDS = {"strategy": "s", "r": "if", "alpha": "if", "layer_range": "l", "apply_to": "s"}
 CORPUS_FIELDS = {
     "id": "s", "vision_embeddings": "l", "prompt_ids": "l", "gt_objects": "l", "pope": "l",
     "pope[0].object": "s", "pope[0].gold": "s", "pope[0].split": "s",
@@ -151,24 +150,6 @@ class TestWrongJsonTypes:
             return code, err, 2, f"config error: {field}: "
 
         check_field(data, takes, probe)
-
-    @pytest.mark.parametrize("field", SPIN_FIELDS)
-    @SETTINGS
-    @given(data=st.data())
-    def test_spin_file_field(self, workspace, field, data):
-        def probe(value):
-            with tempfile.TemporaryDirectory() as tmp:
-                spin = {"strategy": "image_attention", "r": 0.5, "alpha": 0.0, "layer_range": [1, 2],
-                        "apply_to": "all_text_queries"}
-                spin[field] = value
-                (Path(tmp) / "spin.json").write_text(json.dumps(spin))
-                trace = Path(tmp) / "masks.jsonl"
-                code, err = run("generate", "--ckpt", workspace.checkpoint, "--prompt", workspace.corpus,
-                                "--spin", Path(tmp) / "spin.json", "--trace-masks", trace, "--max-new", "2")
-                assert not trace.exists()
-            return code, err, 2, f"config error: spin.{field}: "
-
-        check_field(data, SPIN_FIELDS[field], probe)
 
     @pytest.mark.parametrize("field", CORPUS_FIELDS)
     @SETTINGS
@@ -296,14 +277,6 @@ class TestDuplicateKeys:
         assert code == 2
         assert f"config error: {tmp_path / 'run.json'}: duplicate key 'seed'" in err
         assert not (tmp_path / "r.json").exists()
-
-    def test_spin_file(self, workspace, tmp_path):
-        (tmp_path / "spin.json").write_text('{"r": 0.5, "layer_range": [1, 2], "r": 0.25}')
-        code, err = run("generate", "--ckpt", workspace.checkpoint, "--prompt", workspace.corpus,
-                        "--spin", tmp_path / "spin.json", "--trace-masks", tmp_path / "m.jsonl")
-        assert code == 2
-        assert f"{tmp_path / 'spin.json'}: duplicate key 'r'" in err
-        assert not (tmp_path / "m.jsonl").exists()
 
     def test_corpus_line(self, workspace, tmp_path):
         lines = workspace.corpus.read_text().splitlines()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_infer import cli
-from spin_infer.config import load_spin_config
+from spin_infer.config import parse_run_config
 from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
 from spin_infer.decoding import DecodeConfig, generate
 from spin_infer.engine import Engine, MultimodalPrompt
@@ -43,17 +43,18 @@ class TestSpinConfig:
         with pytest.raises(ConfigError):
             spin(**kw)
 
-    def test_roundtrip(self, tmp_path):
-        cfg = spin(r=0.25, alpha=0.1, lo=2, hi=4, strategy="key_norm")
-        p = tmp_path / "spin.json"
-        p.write_text(json.dumps(cfg.to_dict()))
-        assert load_spin_config(p) == cfg
+    @staticmethod
+    def run_config(spin_section: dict) -> dict:
+        model = ModelConfig(n_layers=4, n_heads=4, d_model=16, d_ffn=16, vocab_size=16, max_seq_len=32)
+        return {"model": {"init": {"seed": 0, "config": model.to_dict()}}, "spin": spin_section}
 
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "spin.json"
-        p.write_text(json.dumps({"r": 0.5, "post_softmax": False}))
-        with pytest.raises(ConfigError, match="unknown keys"):
-            load_spin_config(p)
+    def test_roundtrip(self):
+        cfg = spin(r=0.25, alpha=0.1, lo=2, hi=4, strategy="key_norm")
+        assert parse_run_config(json.loads(json.dumps(self.run_config(cfg.to_dict()))), environ={}).spin == cfg
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^spin: unknown keys: \['post_softmax'\]$"):
+            parse_run_config(self.run_config({"r": 0.5, "post_softmax": False}), environ={})
 
 
 class TestKeptCount:
