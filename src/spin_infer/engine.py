@@ -6,9 +6,11 @@ float32 so runs are reproducible bit-for-bit.
 
 `prefill` (the prompt rows a cache lacks, one stream) and `step_many` (one
 token in each of B streams of several requests) share one forward, with
-per-stream attention and one multiply per weight (`_plan`): a lone part's
-2-D product, or consecutive parts of one row count stacked, each bitwise as
-if stepped alone. `step` is `step_many` of one request.
+one multiply per weight (`_plan`): a lone part's 2-D product, or consecutive
+parts of one row count stacked. Requests on consecutive slots of one pool
+(`KvCache.slot`) at one key count attend as one group, over a view of the
+pool. Either way each request gets the bits of stepping alone. `step` is
+`step_many` of one request.
 A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
@@ -18,16 +20,17 @@ calls and keeps every output bit of the plain formulas: one matmul with a
 rmsnorm without `np.mean`'s wrapper, GELU and softmax in place.
 
 The forward has one hook, an optional *mask policy*: a callable invoked
-once per layer per forward with the post-rotation query vectors, the
-layer's cached keys, its raw q.K^T attention logits, the query positions
-and the prompt layout. It returns one multiplier per head and query row
-(or None for all-ones); the multipliers scale each head's attention output
-before the output projection. Anything else that reads attention (the
-profiler) is a policy too.
+once per layer per group and policy (see `_forward`) with the post-rotation
+query vectors, the layer's cached keys, its raw q.K^T attention logits, the
+query positions and the prompt layout. It returns one multiplier per head
+and query row (or None for all-ones); the multipliers scale each head's
+attention output before the output projection. Anything else that reads
+attention (the profiler) is a policy too.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -44,6 +47,7 @@ from .prng import SplitMix64
 #   -> (B*T,H) or None; query rows are stream-major: row b*T + t is stream b at positions[t].
 # logits is q.K^T before the 1/sqrt(dk) scale and the causal mask; the softmax
 # then overwrites it in place, so a policy must neither write it nor keep it.
+# Equal policies that share a call (see `_forward`) but are not one object give the first a 7th argument: them all.
 MaskPolicy = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, "PromptLayout"], Optional[np.ndarray]]
 
 _GELU_C = np.float32(0.7978845608028654)  # sqrt(2/pi)
@@ -184,7 +188,8 @@ class KvCache:
     """Key/value rows of the generation streams of one request in one array
     `kv` (2, n_layers, n_streams, n_heads, max_len, d_head), preallocated to
     max_len; `k` and `v` are its halves. All streams share one length; a
-    forward over B streams writes streams [0, B).
+    forward over B streams writes streams [0, B). A `slot` views a pool's
+    array (its `kv.base`) from stream `offset` on.
     `select` is the one way to branch; rows below `shared` are the same in
     every stream and are never copied. `truncate` drops rows from the end,
     so one cache can serve several requests whose prompts share a prefix.
@@ -194,7 +199,7 @@ class KvCache:
         self.max_len = max_len
         self.kv = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
         self._len = np.zeros(n_layers, dtype=np.int64)
-        self.shared = 0
+        self.shared = self.offset = 0
 
     @property
     def length(self) -> int:
@@ -207,6 +212,12 @@ class KvCache:
     @property
     def n_streams(self) -> int:
         return self.kv.shape[2]
+
+    def slot(self, first: int, n_streams: int) -> KvCache:
+        """An empty cache of streams [first, first + n_streams) of this one's rows, with lengths of its own."""
+        view = copy.copy(self)
+        view.kv, view.offset, view._len, view.shared = self.kv[:, :, first : first + n_streams], first, 0 * self._len, 0
+        return view
 
     def truncate(self, n: int) -> None:
         """Keep rows [0, n) only. The next select that gives every stream
@@ -355,9 +366,10 @@ class Engine:
     def _forward(self, x: np.ndarray, parts: list) -> np.ndarray:
         """Run input rows x (N, d_model) through every block; returns logits (N, vocab). Each part
         (cache, B, positions (T,), layout, policy) owns the next B*T rows, stream-major, appended to its
-        cache's streams [0, B); attention runs per part. A part of T > 1 rows comes alone. A lone part
-        multiplies its rows as one 2-D product; consecutive parts of m rows each share one (R, m, k) @ w,
-        which makes each part's own BLAS call."""
+        cache's streams [0, B). A part of T > 1 rows comes alone. A lone part multiplies its rows as one
+        2-D product; consecutive parts of m rows each share one (R, m, k) @ w, which makes each part's own
+        BLAS call. Consecutive parts of B streams at one position, on consecutive slots of one pool, attend
+        as one group; within it, a run of one layout and equal policies makes one policy call."""
         c = self.config
         H, dk = c.n_heads, c.d_head
         cache, _, positions = parts[0][:3]
@@ -377,27 +389,46 @@ class Engine:
                     lo += r * m
                 return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
 
+        starts = [0, *itertools.accumulate(B for _, B, *_ in parts)]  # each part's first stream
+        groups = []  # [a member's cache, first and end stream, policy calls]
+        for i, ((cache, B, positions, layout, policy), lo) in enumerate(zip(parts, starts)):
+            prev, prev_B, prev_positions, prev_layout, prev_policy = parts[i - 1]
+            if not (i and cache.kv.base is not None and cache.kv.base is prev.kv.base and B == prev_B
+                    and cache.offset == prev.offset + B and positions[0] == prev_positions[0]):
+                groups.append([cache, lo, lo, []])
+            calls = groups[-1][3]  # [policies, first and end stream, positions, layout, extra arguments]
+            if calls and (layout, policy) == (prev_layout, prev_policy):  # equal policies make equal masks
+                calls[-1][0].append(policy)
+                if policy is not prev_policy:
+                    calls[-1][5] = (calls[-1][0],)
+            else:
+                calls.append([[policy], lo, lo, positions, layout, ()])
+            groups[-1][2] = calls[-1][2] = lo + B
+
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
             qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, -1, T, H, dk)
             qs, _ = _rope(qkv[:2], cs, sn, self._rope_perm)
-            ctxs, lo = [], 0
-            for cache, B, positions, layout, policy in parts:
-                q = qs[lo : lo + B]
+            for (cache, B, *_), lo in zip(parts, starts):
                 cache.extend(layer, qkv[1:, lo : lo + B])  # k (rotated) and v
-                K = cache.keys(layer, B)  # (B, H, S, dk)
-                # the scores become the weights in their own buffer: no (B, H, T, S) temporaries
-                logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
-                masks = None if policy is None else policy(layer, q.reshape(B * T, H, dk), K, logits, positions, layout)
+            ctxs = []
+            for cache, lo, hi, calls in groups:
+                kv, s0 = (cache.kv, 0) if cache.kv.base is None else (cache.kv.base, cache.offset)
+                K, V = kv[:, layer, s0 : s0 + hi - lo, :, : cache._len[layer]]  # (n, H, S, dk) views of the pool
+                # the scores become the weights in their own buffer: no (n, H, T, S) temporaries
+                logits = np.matmul(qs[lo:hi].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+                masks = [(a - lo, b - lo, ps[0](layer, qs[a:b].reshape(-1, H, dk), K[a - lo : b - lo],
+                                                logits[a - lo : b - lo], positions, layout, *extra))
+                         for ps, a, b, positions, layout, extra in calls if ps[0] is not None]
                 logits *= self._inv_sqrt_dk
                 if future is not None:
                     np.copyto(logits, np.float32(-np.inf), where=future)
-                w = _softmax(logits)  # (B, H, T, S)
-                ctx = np.matmul(w, cache.values(layer, B)).transpose(0, 2, 1, 3).reshape(B * T, H, dk)
-                if masks is not None:
-                    ctx *= masks[:, :, None]
+                w = _softmax(logits)  # (n, H, T, S)
+                ctx = np.matmul(w, V).transpose(0, 2, 1, 3).reshape(-1, H, dk)
+                for a, b, m in masks:
+                    if m is not None:
+                        ctx[a * T : b * T] *= m[:, :, None]
                 ctxs.append(ctx)
-                lo += B
             ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
             x = x + mm(ctx.reshape(-1, c.d_model), wo)
             x = x + mm(gelu(mm(rmsnorm(x, ffn_norm), w1)), w2)

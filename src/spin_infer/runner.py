@@ -2,9 +2,11 @@
 
 IN_FLIGHT records decode together, one `Engine.step_many` per token, bitwise
 as if each ran alone; every record derives its own seed from (run seed,
-record id), so batching and record order never change its outputs. Reports
-embed the exact resolved RunConfig plus all generated token ids, which makes
-every report re-runnable.
+record id), so batching and record order never change its outputs. A record
+holds a slot of one KV pool (`KvCache.slot`) from its start to its end or
+failure, and a step lists its requests in slot order, so records at one
+point attend as one group. Reports embed the exact resolved RunConfig plus
+all generated token ids, which makes every report re-runnable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import __version__
 from .config import RunConfig
 from .corpus import CorpusRecord, TokenTable, load_corpus
 from .decoding import GenerationResult, decode
-from .engine import Engine, MultimodalPrompt
+from .engine import Engine, KvCache, MultimodalPrompt
 from .errors import ConfigError, ContextOverflowError, DataError, SpinInferError
 from .metrics import (
     CaptionRecord,
@@ -37,7 +39,7 @@ from .spin import MaskTraceWriter, SpinConfig, SpinPolicy
 
 log = logging.getLogger("spin_infer")
 
-# Records decoded together: pope-eval's records/s is flat from 5 to 8, and peak RSS grows by ~0.4 MB a record (README)
+# Records decoded together: more run faster in groups, but each slot adds ~0.4 MB to pope-eval's peak RSS (README)
 IN_FLIGHT = 5
 
 REPORT_NOTES = [
@@ -97,23 +99,21 @@ def build_policy(cfg: RunConfig, engine: Engine, write_trace: bool = True) -> Sp
     return policy
 
 
-def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: TokenTable, policy: SpinPolicy | None
+def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: TokenTable, policy: SpinPolicy | None,
+                 cache: KvCache
                  ) -> Generator[tuple, object, tuple[list[GenerationResult], CaptionRecord | None, list[PopeItem], int]]:
     """Caption, then one POPE answer per item, yielding `decode`'s steps.
     Returns every result (caption first), the caption's CaptionRecord (None
     without CHAIR), the answered POPE items and how many items a context
     overflow skipped.
 
-    The record's requests share one KV cache. Each request leaves it holding
+    The record's requests share `cache`. Each request leaves it holding
     its prompt's rows, and every POPE prompt extends the base prompt (and,
     multi-turn, the previous turn's prompt), so a turn prefills only the
     rows its prompt adds."""
     ev = cfg.eval
     base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
     items = record.pope if ev.pope else []
-    # only the rows the record can reach (caption, or every POPE question and answer): records in flight hold one each
-    turn_rows = sum(len(caption_words(item.question())) + ev.pope_max_new_tokens for item in items)
-    cache = engine.new_cache(cfg.decode.n_streams, len(base_prompt) + max(cfg.decode.max_new_tokens, turn_rows))
 
     # the caption is always generated: it feeds throughput even without CHAIR
     dcfg = replace(cfg.decode, seed=derive_seed(cfg.decode.seed, record.record_id))
@@ -166,16 +166,22 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | No
 
     t_start = time.perf_counter()
     outcome: list = [None] * len(records)  # per record: what _eval_record returned, or its error
-    inflight: dict[int, tuple] = {}  # record index -> (its _eval_record generator, its step request)
+    inflight: dict[int, tuple] = {}  # record index -> (its _eval_record generator, its slot, its start, its step request)
     buffers: dict[int, MaskTraceWriter] = {}  # record index -> its trace lines until committed
+    n = cfg.decode.n_streams  # per slot of the KV pool: one slot a record in flight, as long as the longest reach
+    reach = [len(r.prompt_ids) + len(r.vision) + max(cfg.decode.max_new_tokens, sum(  # prompt, then caption or POPE turns
+        len(caption_words(item.question())) + ev.pope_max_new_tokens for item in r.pope if ev.pope)) for r in records]
+    pool = engine.new_cache(IN_FLIGHT * n, max(reach))
 
     def resume(i: int, logits=None) -> None:
         """Run record i to its next step request, or to its end."""
-        gen = inflight.pop(i)[0]
+        gen, slot, t0, _ = inflight.pop(i)
         try:
-            inflight[i] = gen, gen.send(logits)
+            inflight[i] = gen, slot, t0, gen.send(logits)
         except StopIteration as done:
             outcome[i] = done.value
+            log.debug("record %s: %d requests, %d new tokens, %.3f s in flight", records[i].record_id,
+                      len(done.value[0]), sum(r.n_new_tokens for r in done.value[0]), time.perf_counter() - t0)
         except SpinInferError as e:
             outcome[i] = err = f"{type(e).__name__}: {e}"
             log.error("record %s failed: %s", records[i].record_id, err)
@@ -185,11 +191,13 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | No
             if trace is not None:
                 buffers[i] = trace.buffer()
             rec_policy = SpinPolicy(cfg.spin, mc.n_layers, mc.n_heads, buffers[i]) if i in buffers else policy
-            inflight[i] = _eval_record(engine, record, cfg, table, rec_policy), None
+            held = {inflight[j][1].offset for j in inflight}  # a record holds its slot until it ends or fails
+            slot = pool.slot(next(s for s in range(0, IN_FLIGHT * n, n) if s not in held), n)
+            inflight[i] = _eval_record(engine, record, cfg, table, rec_policy, slot), slot, time.perf_counter(), None
             resume(i)
             while len(inflight) == IN_FLIGHT or inflight and i == len(records) - 1:  # until a record makes room
-                batch = list(inflight)
-                for j, logits in zip(batch, engine.step_many([inflight[j][1] for j in batch])):
+                batch = sorted(inflight, key=lambda j: inflight[j][1].offset)
+                for j, logits in zip(batch, engine.step_many([inflight[j][3] for j in batch])):
                     resume(j, logits)
             while buffers and outcome[first := min(buffers)] is not None:  # traces go out in corpus order
                 trace.commit(buffers.pop(first))

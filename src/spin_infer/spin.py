@@ -154,6 +154,10 @@ class SpinPolicy:
         self.trace = trace
         self._levels = _rank_levels(config, n_heads)
 
+    def __eq__(self, other) -> bool:  # equal policies make equal masks; they may differ in their trace
+        return type(other) is type(self) and (self.config, self.n_heads) == (other.config, other.n_heads)
+    __hash__ = lambda self: hash((self.config, self.n_heads))
+
     def _scores(
         self, q: np.ndarray, keys: np.ndarray, logits: np.ndarray, positions: np.ndarray, layout: PromptLayout
     ) -> np.ndarray:
@@ -166,9 +170,10 @@ class SpinPolicy:
         cfg = self.config
         if cfg.strategy == "query_norm":
             return np.sqrt(np.sum(np.square(q), axis=-1))
-        if cfg.strategy == "image_attention":
-            scores = logits[..., layout.i_start : layout.i_end].sum(axis=3)  # (B, H, T)
-        elif cfg.strategy == "total_attention":
+        if cfg.strategy == "image_attention":  # reduced stream-major, (B, T, H); at B or T of 1 the reshape is a view
+            scores = np.add.reduce(logits.transpose(0, 2, 1, 3)[..., layout.i_start : layout.i_end], axis=-1)
+            return scores.reshape(len(q), -1)
+        if cfg.strategy == "total_attention":
             allowed = np.arange(logits.shape[3])[None, :] <= positions[:, None]
             scores = np.where(allowed, logits, np.float32(0.0)).sum(axis=3)
         else:  # key_norm: causal running mean of key L2 norms
@@ -176,11 +181,6 @@ class SpinPolicy:
             cum = np.cumsum(norms, axis=2) / np.arange(1, norms.shape[2] + 1, dtype=np.float32)
             scores = cum[:, :, positions]
         return scores.transpose(0, 2, 1).reshape(len(q), -1)
-
-    def _floor(self, layout: PromptLayout) -> int:
-        if self.config.apply_to == "generated_text_queries_only":
-            return max(layout.i_end, layout.prompt_len)
-        return layout.i_end
 
     def __call__(
         self,
@@ -190,14 +190,17 @@ class SpinPolicy:
         logits: np.ndarray,
         positions: np.ndarray,
         layout: PromptLayout,
+        peers: list[SpinPolicy] | None = None,
     ) -> np.ndarray | None:
+        """The hook's masks; `peers`, equal to this one (the first), trace equal parts of the streams in turn."""
         layer = layer_index + 1
         cfg = self.config
         if not cfg.layer_lo <= layer <= cfg.layer_hi:
             return None
         # positions are consecutive, so each stream's maskable rows are a suffix
         T = len(positions)
-        first = min(max(self._floor(layout) - int(positions[0]), 0), T)
+        floor = max(layout.i_end, layout.prompt_len) if cfg.apply_to == "generated_text_queries_only" else layout.i_end
+        first = min(max(floor - int(positions[0]), 0), T)
         if first == T:
             return None
         H = self.n_heads
@@ -207,6 +210,8 @@ class SpinPolicy:
         if first:
             masks = masks.reshape(-1, T - first, H)
             masks = np.concatenate([np.ones((len(masks), first, H), dtype=np.float32), masks], axis=1).reshape(-1, H)
-        if self.trace is not None:
-            self.trace.write(positions, first, layer, masks)
+        n = len(masks) // len(peers or [self])
+        for i, policy in enumerate(peers or [self]):
+            if policy.trace is not None:
+                policy.trace.write(positions, first, layer, masks[i * n : (i + 1) * n])
         return masks

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -429,6 +430,24 @@ class TestTopLevel:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert ("DEBUG spin_infer: probe" in proc.stderr) == verbose
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_eval_logs_each_finished_record(self, workspace, tmp_path, verbose):
+        """`-v eval` logs one DEBUG line per finished record: its id, requests, new tokens and seconds in
+        flight. Plain `eval` logs none."""
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"max_records": 3},
+                                   output={"report_json": str(tmp_path / "report.json")})
+        src = str(Path(spin_infer.__file__).resolve().parents[1])
+        script = "import sys; from spin_infer.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", script, *["-v"] * verbose, "eval", "--config", str(cfg)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        gens = json.loads((tmp_path / "report.json").read_text())["generations"]
+        want = sorted((rid, 1 + len(g["pope"]), len(g["caption"]) + sum(map(len, g["pope"]))) for rid, g in gens.items())
+        pattern = r"DEBUG spin_infer: record (\S+): (\d+) requests, (\d+) new tokens, \d+\.\d{3} s in flight"
+        got = sorted((m[1], int(m[2]), int(m[3])) for line in proc.stderr.splitlines() if (m := re.fullmatch(pattern, line)))
+        assert got == (want if verbose else []) and len(want) == 3
+        assert verbose or "DEBUG" not in proc.stderr
 
     def test_readme_quick_start_commands_parse(self):
         """Every `spin-infer` command of the README quick start parses, so a

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from spin_infer import engine as engine_module
 from spin_infer.engine import Engine, MultimodalPrompt, _plan, _rope, _softmax, gelu, rmsnorm
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError
 from spin_infer.model import ModelConfig, init_checkpoint, load_checkpoint, save_checkpoint
-from spin_infer.spin import SpinConfig, SpinPolicy
+from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy
 
 from helpers import (
     copy_cache,
@@ -647,3 +649,100 @@ class TestStepMany:
             engine.step_many([([1], cache, prompt.layout(), None) for prompt, cache in zip(prompts, caches)])
         assert all(np.array_equal(cache.kv, kv) for cache, kv in zip(caches, before))
         assert [cache.length for cache in caches] == [7, 12]
+
+
+def traced(cfg: SpinConfig, config: ModelConfig) -> SpinPolicy:
+    """A SpinPolicy tracing into memory."""
+    trace = MaskTraceWriter(io.StringIO(), config.n_layers, config.n_heads, cfg)
+    return SpinPolicy(cfg, config.n_layers, config.n_heads, trace)
+
+
+@st.composite
+def pooled_requests(draw, engine):
+    """1-5 requests on consecutive slots of one pool, drawn so that groups form: slots of 1-3 streams, all
+    live, prompts of one length, as many earlier steps, and no policy, one shared policy, or one equal
+    traced policy per request. A request may break its group: one more earlier step (another key count),
+    another layout of the same length, a skipped slot, one stream fewer, or another policy config (a
+    shared one then stays shared). Returns the requests and, stepped the same way on standalone caches,
+    their references."""
+    c = engine.config
+    width, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    pool = engine.new_cache(2 * n * width, 24)
+    n_prefix, n_vision, n_suffix, steps = (draw(st.integers(lo, hi)) for lo, hi in ((0, 2), (1, 4), (1, 3), (0, 2)))
+    cfg = SpinConfig(strategy=draw(st.sampled_from(STRATEGIES + ("image_attention",) * 2)), r=0.5,  # layouts matter to it
+                     alpha=draw(st.sampled_from([0.0, 0.3])), layer_lo=1, layer_hi=draw(st.integers(1, c.n_layers)),
+                     apply_to=draw(st.sampled_from(APPLY_MODES)))
+    kind = draw(st.sampled_from(["none", "shared", "per request", "per request"]))
+    shared = SpinPolicy(cfg, c.n_layers, c.n_heads)  # untraced: a shared trace has its lines in layer order
+    requests, refs, slot = [], [], 0
+    for _ in range(n):
+        breaker = draw(st.sampled_from(["none"] * 3 + ["key count", "layout", "slot", "fewer streams", "policy"]))
+        slot += breaker == "slot"
+        shift = breaker == "layout"
+        prompt = random_prompt(draw(st.integers(0, 2**16)), c, n_prefix + shift, n_vision, n_suffix - shift)
+        live = width - (breaker == "fewer streams" and width > 1)
+        spin_cfg = SpinConfig(**{**cfg.__dict__, "alpha": 0.6}) if breaker == "policy" else cfg
+        tokens = [draw(st.lists(st.integers(0, c.vocab_size - 1), min_size=live, max_size=live))
+                  for _ in range(steps + (breaker == "key count") + 1)]
+        for side, cache in (("g", pool.slot(slot * width, width)), ("r", engine.new_cache(width, 24))):
+            engine.prefill(prompt, cache)
+            cache.select([0] * width)
+            for earlier in tokens[:-1]:
+                engine.step(earlier, cache, prompt.layout())
+            policy = {"none": None, "shared": shared, "per request": traced(spin_cfg, c)}[kind]
+            (requests if side == "g" else refs).append((tokens[-1], cache, prompt.layout(), policy))
+        slot += 1
+    return requests, refs
+
+
+def trace_text(policy) -> str:
+    return policy.trace._fh.getvalue() if policy is not None and policy.trace is not None else ""
+
+
+class TestGroups:
+    """Requests on consecutive slots of one pool at one key count attend as
+    one group, and a run of them with one layout and equal policies makes one
+    policy call: each request still gets its own `Engine.step` logits, cache
+    rows and trace bytes, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_step_on_standalone_caches(self, data):
+        requests, refs = data.draw(pooled_requests(STEP_MANY_ENGINE))
+        want = [STEP_MANY_ENGINE.step(*ref) for ref in refs]
+        got = STEP_MANY_ENGINE.step_many(requests)
+        for (_, cache, _, policy), (_, ref, _, ref_policy), g, w in zip(requests, refs, got, want):
+            assert np.array_equal(g, w)
+            assert layer_lengths(cache) == layer_lengths(ref)
+            assert np.array_equal(cache.kv, ref.kv)
+            assert trace_text(policy) == trace_text(ref_policy)
+
+    @pytest.mark.parametrize("breaker, calls", [
+        (None, [(8, 8)]), ("shared", [(8, 8)]), ("key count", [(4, 4), (4, 4)]), ("slot", [(4, 4), (4, 4)]),
+        ("layout", [(4, 8), (4, 8)]), ("policy", [(4, 8), (4, 8)])])
+    def test_one_policy_call_per_layer_and_run(self, breaker, calls, monkeypatch):
+        """Four lockstep 2-stream requests on slots 0-3, the last two breaking off, make per layer one
+        policy call (streams, streams of its attention group) per run of equal parts, whose keys are a
+        view of the pool. Equal policies that are not one object give the first a seventh argument; one
+        shared policy gets six."""
+        engine, c = STEP_MANY_ENGINE, STEP_MANY_ENGINE.config
+        pool, shared = engine.new_cache(5 * 2, 24), traced(SpinConfig(r=0.5, layer_hi=c.n_layers), c)
+        requests = []
+        for k in range(4):
+            late = k >= 2
+            shift = late and breaker == "layout"
+            prompt = random_prompt(k, c, 1 + shift, 3, 3 - shift)
+            cache = pool.slot(2 * (k + (late and breaker == "slot")), 2)
+            engine.prefill(prompt, cache)
+            cache.select([0, 0])
+            for _ in range(1 + (late and breaker == "key count")):
+                engine.step([k, k + 1], cache, prompt.layout())
+            alpha = 0.5 if late and breaker == "policy" else 0.0
+            policy = shared if breaker == "shared" else traced(SpinConfig(r=0.5, alpha=alpha, layer_hi=c.n_layers), c)
+            requests.append(([3, 4], cache, prompt.layout(), policy))
+        seen, call = [], SpinPolicy.__call__
+        monkeypatch.setattr(SpinPolicy, "__call__", lambda self, *a: seen.append(
+            (len(a), len(a[2]), len(a[3].base), a[2].base is pool.kv)) or call(self, *a))
+        engine.step_many(requests)
+        args = 6 if breaker == "shared" else 7
+        assert seen == [(args, *call_streams, True) for _ in range(c.n_layers) for call_streams in calls]

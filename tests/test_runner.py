@@ -11,6 +11,7 @@ import pytest
 import spin_infer
 from spin_infer.config import load_run_config
 from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
+from spin_infer import runner
 from spin_infer.engine import Engine
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
@@ -368,6 +369,71 @@ class TestRecordsInFlight:
         # up to IN_FLIGHT requests per step, and a step of several requests is one forward over all of them
         assert max(sizes) == IN_FLIGHT and min(sizes) >= 1
         assert sorted(n for n in forwards if n > 1) == sorted(n for n in sizes if n > 1)
+
+
+class TestSlots:
+    """Records in flight share one KV pool, a slot each; a record that ends
+    or fails frees its slot for the next."""
+
+    def test_failed_record_frees_its_slot_for_the_next(self, workspace, tmp_path, monkeypatch):
+        """Beam 3 through the pool: a record fails at its first POPE turn, after its caption filled
+        its slot, and the record that takes the slot over generates what the plain path does."""
+        cfg = load_run_config(workspace.run_config(
+            tmp_path / "run.json", decode={"strategy": "beam", "beam_width": 3, "max_new_tokens": 4, "eos_id": None},
+            spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}, eval={"pope_max_new_tokens": 2},
+        ), environ={})
+        inputs = load_eval_inputs(cfg, "eval")
+        bad, last = inputs.records[1], inputs.records[-1]
+        assert len(inputs.records) == IN_FLIGHT + 1
+        slots, eval_record, prefill = {}, runner._eval_record, Engine.prefill
+
+        def spied_eval_record(engine, record, cfg, table, policy, cache):
+            slots[record.record_id] = (cache.offset, cache.n_streams)
+            return (yield from eval_record(engine, record, cfg, table, policy, cache))
+
+        def failing_prefill(engine, prompt, cache, policy=None, return_all_logits=False):
+            out = prefill(engine, prompt, cache, policy, return_all_logits)
+            pope_turn = np.array_equal(prompt.vision, bad.vision) and len(prompt) > len(bad.vision) + len(bad.prompt_ids)
+            return np.full_like(out, np.nan) if pope_turn else out
+
+        monkeypatch.setattr(runner, "_eval_record", spied_eval_record)
+        monkeypatch.setattr(Engine, "prefill", failing_prefill)
+        report = run_eval(cfg, write_outputs=False, inputs=inputs)
+        monkeypatch.undo()
+        assert list(report["failures"]) == [bad.record_id] and "non-finite logits" in report["failures"][bad.record_id]
+        assert slots[last.record_id] == slots[bad.record_id] == (3, 3)
+        assert sorted(slots.values()) == sorted([(3 * k, 3) for k in range(IN_FLIGHT)] + [(3, 3)])  # one taken twice
+        policy = SpinPolicy(cfg.spin, inputs.engine.config.n_layers, inputs.engine.config.n_heads)
+        for rec in inputs.records:
+            if rec is not bad:
+                _, outs, _ = reference_eval_record(inputs.engine, rec, cfg, inputs.table, policy)
+                assert report["generations"][rec.record_id] == {"caption": outs[0], "pope": outs[1:]}, rec.record_id
+
+
+class TestGroupedSteps:
+    def test_lockstep_step_makes_one_policy_call_per_layer(self, workspace, tmp_path, monkeypatch):
+        """Captions of one length from prompts of one length: every batched step is one group, which
+        makes one policy call per layer, however many records it steps."""
+        cfg = load_run_config(workspace.run_config(
+            tmp_path / "run.json", decode={"max_new_tokens": 6, "eos_id": None}, eval={"pope": False},
+            spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]}, output={"trace_masks": str(tmp_path / "masks.jsonl")},
+        ), environ={})
+        sizes, calls, seen = [], [], []  # per step: requests and policy calls; every policy call
+        step_many, call = Engine.step_many, SpinPolicy.__call__
+
+        def counted_step_many(self, requests):
+            before = len(seen)
+            out = step_many(self, requests)
+            sizes.append(len(requests))
+            calls.append(len(seen) - before)
+            return out
+
+        monkeypatch.setattr(Engine, "step_many", counted_step_many)
+        monkeypatch.setattr(SpinPolicy, "__call__", lambda self, *args: seen.append(args) or call(self, *args))
+        report = run_eval(cfg)
+        assert report["metrics"]["n_records"] == IN_FLIGHT + 1
+        assert sizes == [IN_FLIGHT] * 5 + [1] * 5  # five steps per caption of six tokens
+        assert calls == [2] * len(sizes)
 
 
 class TestThreadCountInvariance:
