@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class DecodeConfig:
 class GenerationResult:
     token_ids: list[int]
     text: str = ""
-    step_latencies: list[float] = field(default_factory=list)
     prefill_latency: float = 0.0
     decode_latency: float = 0.0
     truncated: bool = False
@@ -152,7 +151,7 @@ def generate(
 def decode(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, policy: MaskPolicy | None = None,
            token_table=None, cache: KvCache | None = None) -> Generator[tuple, np.ndarray, GenerationResult]:
     """`generate` yielding each step's `Engine.step` arguments and taking its logits by `send`. A step that
-    would overflow the context sets `truncated` instead. A step latency includes all of a shared step."""
+    would overflow the context sets `truncated` instead. `decode_latency` includes all of each shared step."""
     beam = config.strategy == "beam"
     width = config.n_streams
     if cache is None:
@@ -168,12 +167,10 @@ def decode(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, polic
     live: list[tuple[float, int, list[int]]] = [(0.0, 0, [])]  # (score, parent, tokens) of stream i
     finished: list[tuple[float, int, list[int], bool]] = []  # (norm_score, order, tokens, at_eos)
     step_scores: list[list[float]] = []
-    lat: list[float] = []
     truncated = False
     loop_start = time.perf_counter()
 
     for step in range(1, config.max_new_tokens + 1):
-        t_step = time.perf_counter()
         children: list[tuple[float, int, int]] = []  # (score, parent index, token)
         for i, (score, _, tokens) in enumerate(live):
             z = apply_repetition_penalty(logits[i], tokens, config.repetition_penalty)
@@ -209,7 +206,6 @@ def decode(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, polic
             for score, _, seq in live:
                 finished.append((score / len(seq), len(finished), seq, False))
             live = []
-        lat.append(time.perf_counter() - t_step)
         if not live:
             break
 
@@ -218,7 +214,6 @@ def decode(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfig, polic
     _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
     result = GenerationResult(
         token_ids=best,
-        step_latencies=lat,
         prefill_latency=prefill_s,
         decode_latency=decode_s,
         truncated=truncated,

@@ -8,9 +8,11 @@ float32 so runs are reproducible bit-for-bit.
 token in each of B streams of several requests) share one forward, with
 one multiply per weight (`_plan`): a lone part's 2-D product, or consecutive
 parts of one row count stacked. Requests on consecutive slots of one pool
-(`KvCache.slot`) at one key count attend as one group, over a view of the
-pool. Either way each request gets the bits of stepping alone. `step` is
-`step_many` of one request.
+(`KvCache.slot`) at one key count attend as one group, whose new key and
+value rows one assignment per layer writes into the pool. Either way each
+request gets the bits of stepping alone. `step` is `step_many` of one request.
+Every request is checked before any row is written, and each cache's one
+`length` moves after the last layer, so a forward that raises moves none.
 A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
@@ -187,9 +189,10 @@ class MultimodalPrompt:
 class KvCache:
     """Key/value rows of the generation streams of one request in one array
     `kv` (2, n_layers, n_streams, n_heads, max_len, d_head), preallocated to
-    max_len; `k` and `v` are its halves. All streams share one length; a
-    forward over B streams writes streams [0, B). A `slot` views a pool's
-    array (its `kv.base`) from stream `offset` on.
+    max_len; `k` and `v` are its halves. All streams and layers share one
+    `length`; a forward over B streams writes rows [length, length + T) of
+    streams [0, B) into `pool`, the array `kv` views from stream `offset` on
+    (its own `kv`, or the pool of a `slot`).
     `select` is the one way to branch; rows below `shared` are the same in
     every stream and are never copied. `truncate` drops rows from the end,
     so one cache can serve several requests whose prompts share a prefix.
@@ -197,14 +200,8 @@ class KvCache:
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int, n_streams: int = 1):
         self.max_len = max_len
-        self.kv = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
-        self._len = np.zeros(n_layers, dtype=np.int64)
-        self.shared = self.offset = 0
-
-    @property
-    def length(self) -> int:
-        """Number of fully processed tokens (min across layers mid-step)."""
-        return int(self._len.min())
+        self.kv = self.pool = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
+        self.length = self.shared = self.offset = 0
 
     k = property(lambda self: self.kv[0])
     v = property(lambda self: self.kv[1])
@@ -214,32 +211,16 @@ class KvCache:
         return self.kv.shape[2]
 
     def slot(self, first: int, n_streams: int) -> KvCache:
-        """An empty cache of streams [first, first + n_streams) of this one's rows, with lengths of its own."""
+        """An empty cache of streams [first, first + n_streams) of this one's rows, with a length of its own."""
         view = copy.copy(self)
-        view.kv, view.offset, view._len, view.shared = self.kv[:, :, first : first + n_streams], first, 0 * self._len, 0
+        view.kv, view.offset, view.length, view.shared = self.kv[:, :, first : first + n_streams], self.offset + first, 0, 0
         return view
 
     def truncate(self, n: int) -> None:
         """Keep rows [0, n) only. The next select that gives every stream
         one parent broadcasts the rows written after them."""
-        np.minimum(self._len, n, out=self._len)
+        self.length = min(self.length, n)
         self.shared = min(self.shared, n)
-
-    def extend(self, layer: int, kv: np.ndarray) -> None:
-        """Append rows for streams [0, B); kv is keys and values, (2, B, T, H, d_head)."""
-        t = int(self._len[layer])
-        b, n = kv.shape[1:3]
-        if t + n > self.max_len:
-            raise ContextOverflowError(f"kv cache overflow: {t}+{n} > {self.max_len}")
-        self.kv[:, layer, :b, :, t : t + n] = kv.transpose(0, 1, 3, 2, 4)
-        self._len[layer] += n
-
-    def keys(self, layer: int, n_streams: int = 1) -> np.ndarray:
-        """Cached keys (n_streams, H, S, d_head) of streams [0, n_streams)."""
-        return self.kv[0, layer, :n_streams, :, : self._len[layer]]
-
-    def values(self, layer: int, n_streams: int = 1) -> np.ndarray:
-        return self.kv[1, layer, :n_streams, :, : self._len[layer]]
 
     def select(self, parents: list[int]) -> None:
         """Stream s takes stream parents[s]'s rows from `shared` on. When all
@@ -317,10 +298,12 @@ class Engine:
         return np.stack(rows).astype(np.float32)
 
     def _step_position(self, tokens: list[int], cache: KvCache) -> int:
-        """A step's position in `cache`, checked against the context and the vocab."""
+        """A step's position in `cache`, checked against the context, the cache's room and the vocab."""
         c, pos = self.config, cache.length
         if pos + 1 > c.max_seq_len:
             raise ContextOverflowError(f"sequence length {pos + 1} exceeds max_seq_len {c.max_seq_len}")
+        if pos + 1 > cache.max_len:
+            raise ContextOverflowError(f"kv cache overflow: {pos}+1 > {cache.max_len}")
         if not 0 <= min(tokens) <= max(tokens) < c.vocab_size:
             raise DataError(f"token ids {tokens} out of range for vocab {c.vocab_size}")
         return pos
@@ -358,6 +341,8 @@ class Engine:
         base, n = cache.length, len(prompt)
         if n > c.max_seq_len:
             raise ContextOverflowError(f"prompt length {n} exceeds max_seq_len {c.max_seq_len}")
+        if n > cache.max_len:
+            raise ContextOverflowError(f"kv cache overflow: {base}+{n - base} > {cache.max_len}")
         if base >= n:
             raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
         out = self._forward(self.embed_prompt(prompt, base), [(cache, 1, np.arange(base, n), prompt.layout(), policy)])
@@ -366,10 +351,11 @@ class Engine:
     def _forward(self, x: np.ndarray, parts: list) -> np.ndarray:
         """Run input rows x (N, d_model) through every block; returns logits (N, vocab). Each part
         (cache, B, positions (T,), layout, policy) owns the next B*T rows, stream-major, appended to its
-        cache's streams [0, B). A part of T > 1 rows comes alone. A lone part multiplies its rows as one
-        2-D product; consecutive parts of m rows each share one (R, m, k) @ w, which makes each part's own
-        BLAS call. Consecutive parts of B streams at one position, on consecutive slots of one pool, attend
-        as one group; within it, a run of one layout and equal policies makes one policy call."""
+        cache's streams [0, B) (the caller checks they fit). A part of T > 1 rows comes alone. A lone part
+        multiplies its rows as one 2-D product; consecutive parts of m rows each share one (R, m, k) @ w,
+        which makes each part's own BLAS call. Consecutive parts of B streams at one position, on consecutive
+        slots of one pool, attend as one group; within it, a run of one layout and equal policies makes one
+        policy call."""
         c = self.config
         H, dk = c.n_heads, c.d_head
         cache, _, positions = parts[0][:3]
@@ -390,31 +376,30 @@ class Engine:
                 return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
 
         starts = [0, *itertools.accumulate(B for _, B, *_ in parts)]  # each part's first stream
-        groups = []  # [a member's cache, first and end stream, policy calls]
+        groups = []  # [pool, first pool stream, key count, first and end stream, policy calls]
         for i, ((cache, B, positions, layout, policy), lo) in enumerate(zip(parts, starts)):
             prev, prev_B, prev_positions, prev_layout, prev_policy = parts[i - 1]
-            if not (i and cache.kv.base is not None and cache.kv.base is prev.kv.base and B == prev_B
+            if not (i and cache.pool is prev.pool and B == prev_B
                     and cache.offset == prev.offset + B and positions[0] == prev_positions[0]):
-                groups.append([cache, lo, lo, []])
-            calls = groups[-1][3]  # [policies, first and end stream, positions, layout, extra arguments]
+                groups.append([cache.pool, cache.offset, cache.length + T, lo, lo, []])
+            calls = groups[-1][5]  # [policies, first and end stream, positions, layout, extra arguments]
             if calls and (layout, policy) == (prev_layout, prev_policy):  # equal policies make equal masks
                 calls[-1][0].append(policy)
                 if policy is not prev_policy:
                     calls[-1][5] = (calls[-1][0],)
             else:
                 calls.append([[policy], lo, lo, positions, layout, ()])
-            groups[-1][2] = calls[-1][2] = lo + B
+            groups[-1][4] = calls[-1][2] = lo + B
 
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
             qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, -1, T, H, dk)
             qs, _ = _rope(qkv[:2], cs, sn, self._rope_perm)
-            for (cache, B, *_), lo in zip(parts, starts):
-                cache.extend(layer, qkv[1:, lo : lo + B])  # k (rotated) and v
             ctxs = []
-            for cache, lo, hi, calls in groups:
-                kv, s0 = (cache.kv, 0) if cache.kv.base is None else (cache.kv.base, cache.offset)
-                K, V = kv[:, layer, s0 : s0 + hi - lo, :, : cache._len[layer]]  # (n, H, S, dk) views of the pool
+            for pool, s0, S, lo, hi, calls in groups:
+                kv = pool[:, layer, s0 : s0 + hi - lo, :, :S]  # (2, n, H, S, dk), a view of the pool
+                kv[:, :, :, S - T :] = qkv[1:, lo:hi].transpose(0, 1, 3, 2, 4)  # the new k (rotated) and v
+                K, V = kv
                 # the scores become the weights in their own buffer: no (n, H, T, S) temporaries
                 logits = np.matmul(qs[lo:hi].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
                 masks = [(a - lo, b - lo, ps[0](layer, qs[a:b].reshape(-1, H, dk), K[a - lo : b - lo],
@@ -432,5 +417,7 @@ class Engine:
             ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
             x = x + mm(ctx.reshape(-1, c.d_model), wo)
             x = x + mm(gelu(mm(rmsnorm(x, ffn_norm), w1)), w2)
+        for cache, *_ in parts:
+            cache.length += T
         ck = self.checkpoint
         return mm(rmsnorm(x, ck["final_norm"]), ck["output"])

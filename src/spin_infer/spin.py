@@ -69,26 +69,6 @@ def kept_count(r: float, n_heads: int) -> int:
     return min(n_heads, max(1, n_heads - suppressed))
 
 
-def build_mask(scores: np.ndarray, config: SpinConfig, layer: int) -> np.ndarray:
-    """Per-head multipliers for one layer from scores (..., H), one mask
-    row per score row.
-
-    `layer` is 1-indexed. Outside the configured layer range the mask is
-    all ones; inside it the K highest-scoring heads of each row get exactly
-    1 and the rest exactly alpha.
-    """
-    scores = np.asarray(scores)
-    if not config.layer_lo <= layer <= config.layer_hi:
-        return np.ones(scores.shape, dtype=np.float32)
-    return _rank_levels(config, scores.shape[-1])[_head_ranks(scores)]
-
-
-def _rank_levels(config: SpinConfig, n_heads: int) -> np.ndarray:
-    """Multiplier by head rank: 1 for the K best ranks, alpha for the rest."""
-    kept = np.arange(n_heads) < kept_count(config.r, n_heads)
-    return np.where(kept, np.float32(1.0), np.float32(config.alpha))
-
-
 def _head_ranks(scores: np.ndarray) -> np.ndarray:
     """Rank of each head within its score row (..., H): its place in a
     stable descending sort, i.e. #(s_j > s_i) + #(s_j == s_i, j < i), so
@@ -149,10 +129,10 @@ class SpinPolicy:
     ):
         config.check_layers(n_layers)
         self.config = config
-        self.n_layers = n_layers
         self.n_heads = n_heads
         self.trace = trace
-        self._levels = _rank_levels(config, n_heads)
+        # multiplier by head rank: 1 for the K best ranks, alpha for the rest
+        self._levels = np.where(np.arange(n_heads) < kept_count(config.r, n_heads), np.float32(1.0), np.float32(config.alpha))
 
     def __eq__(self, other) -> bool:  # equal policies make equal masks; they may differ in their trace
         return type(other) is type(self) and (self.config, self.n_heads) == (other.config, other.n_heads)

@@ -19,7 +19,7 @@ from spin_infer.metrics import CaptionRecord, build_multiturn_context, chair_sco
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64, derive_seed
 from spin_infer.runner import REPORT_NOTES
-from spin_infer.spin import MaskTraceWriter, SpinPolicy
+from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy, kept_count
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -63,12 +63,12 @@ def traced_peak(fn) -> int:
 
 
 def layer_lengths(cache: KvCache) -> tuple[int, ...]:
-    """Rows cached per layer."""
-    return tuple(int(x) for x in cache._len)
+    """Rows cached per layer: the cache's one length, for each layer."""
+    return (cache.length,) * cache.kv.shape[1]
 
 
 def copy_cache(cache: KvCache) -> KvCache:
-    """Independent copy of a cache, for plain-path references that branch by copying."""
+    """Independent copy of a cache that is not a slot, for plain-path references that branch by copying."""
     return copy.deepcopy(cache)
 
 
@@ -133,6 +133,26 @@ def ref_logits(engine: Engine, x: np.ndarray) -> np.ndarray:
     return ref_rmsnorm(x, ck["final_norm"]) @ ck["output"]
 
 
+def ref_append(cache: KvCache, layer: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Write rows k, v (T, H, dk) of stream 0 after the cache's `length`; returns the layer's keys and values (2, 1, H, S, dk)."""
+    S = cache.length + len(k)
+    cache.kv[:, layer, 0, :, cache.length : S] = np.stack([k, v]).transpose(0, 2, 1, 3)
+    return cache.kv[:, layer, :1, :, :S]
+
+
+def build_mask(scores: np.ndarray, config: SpinConfig, layer: int) -> np.ndarray:
+    """Per-head multipliers for one layer from scores (..., H), one mask
+    row per score row. `layer` is 1-indexed. Outside the configured layer
+    range the mask is all ones; inside it the K highest-scoring heads of
+    each row (ties to the lower head index) get exactly 1 and the rest
+    exactly alpha."""
+    scores = np.asarray(scores)
+    if not config.layer_lo <= layer <= config.layer_hi:
+        return np.ones(scores.shape, dtype=np.float32)
+    ranks = (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1)
+    return np.where(ranks < kept_count(config.r, scores.shape[-1]), np.float32(1.0), np.float32(config.alpha))
+
+
 def reference_step(engine: Engine, x, cache: KvCache, position: int):
     """One decode step of plain multi-head attention with no masking code
     path, written out for a single input row x (d_model,) with the plain
@@ -143,11 +163,11 @@ def reference_step(engine: Engine, x, cache: KvCache, position: int):
     cos, sin = ref_rope_tables(c.d_head, np.array([position]))
     for layer in range(c.n_layers):
         q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm"))[None], cos, sin)
-        cache.extend(layer, np.stack([k, v])[:, None])
-        K = cache.keys(layer)[0]
-        w = ref_softmax(np.matmul(q.transpose(1, 0, 2), K.transpose(0, 2, 1)) * engine._inv_sqrt_dk)
-        ctx = np.matmul(w, cache.values(layer)[0])  # (H, 1, dk)
+        K, V = ref_append(cache, layer, k, v)
+        w = ref_softmax(np.matmul(q.transpose(1, 0, 2), K[0].transpose(0, 2, 1)) * engine._inv_sqrt_dk)
+        ctx = np.matmul(w, V[0])  # (H, 1, dk)
         x = ref_block_out(engine, layer, x, ctx.reshape(c.d_model))
+    cache.length += 1
     return ref_logits(engine, x)
 
 
@@ -168,17 +188,17 @@ def reference_prefill(engine: Engine, prompt: MultimodalPrompt, cache: KvCache, 
     x = engine.embed_prompt(prompt, base)
     for layer in range(c.n_layers):
         q, k, v = ref_qkv(engine, layer, ref_rmsnorm(x, ck.layer(layer, "attn_norm")), cos, sin)
-        cache.extend(layer, np.stack([k, v])[:, None])
-        K = cache.keys(layer)
+        K, V = ref_append(cache, layer, k, v)
         raw = np.matmul(q[None].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
         masks = None if policy is None else policy(layer, q, K, raw, positions, prompt.layout())
         z = raw * engine._inv_sqrt_dk
         z[:, :, future] = -np.inf
         w = ref_softmax(z)
-        ctx = np.matmul(w, cache.values(layer)).transpose(0, 2, 1, 3).reshape(T, H, dk)
+        ctx = np.matmul(w, V).transpose(0, 2, 1, 3).reshape(T, H, dk)
         if masks is not None:
             ctx = ctx * masks[:, :, None]
         x = ref_block_out(engine, layer, x, ctx.reshape(T, c.d_model))
+    cache.length = n
     return ref_logits(engine, x)
 
 

@@ -35,9 +35,10 @@ from spin_infer.metrics import (
 from spin_infer.model import ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64
 from spin_infer.runner import run_eval
-from spin_infer.spin import SpinConfig, SpinPolicy, build_mask, kept_count
+from spin_infer.spin import SpinConfig, SpinPolicy, kept_count
 
 from helpers import (
+    build_mask,
     e1_vision,
     hook_args,
     planted_checkpoint,

