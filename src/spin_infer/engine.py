@@ -7,12 +7,14 @@ float32 so runs are reproducible bit-for-bit.
 `prefill` (the prompt rows a cache lacks, one stream) and `step_many` (one
 token in each of B streams of several requests) share one forward, with
 one multiply per weight (`_plan`): a lone part's 2-D product, or consecutive
-parts of one row count stacked. Requests on consecutive slots of one pool
-(`KvCache.slot`) at one key count attend as one group, whose new key and
-value rows one assignment per layer writes into the pool. Either way each
-request gets the bits of stepping alone. `step` is `step_many` of one request.
-Every request is checked before any row is written, and each cache's one
-`length` moves after the last layer, so a forward that raises moves none.
+parts of one row count stacked. Consecutive requests on consecutive slots of
+one pool (`KvCache.slot`) with one key count, stream count, layout and equal
+policies form a group, decided once per forward: per layer one assignment
+writes its new key and value rows into the pool, one attention reads them and
+one mask-policy call scores them. Either way each request gets the bits of
+stepping alone. `step` is `step_many` of one request. Every request is
+checked before any row is written, and each cache's one `length` moves
+after the last layer, so a forward that raises moves none.
 A cache that already holds a prompt's first rows (an earlier request's prompt,
 `truncate`d back to its end) is reused: prefill processes only the rest.
 
@@ -22,7 +24,7 @@ calls and keeps every output bit of the plain formulas: one matmul with a
 rmsnorm without `np.mean`'s wrapper, GELU and softmax in place.
 
 The forward has one hook, an optional *mask policy*: a callable invoked
-once per layer per group and policy (see `_forward`) with the post-rotation
+once per layer per group (see `_forward`) with the post-rotation
 query vectors, the layer's cached keys, its raw q.K^T attention logits, the
 query positions and the prompt layout. It returns one multiplier per head
 and query row (or None for all-ones); the multipliers scale each head's
@@ -49,7 +51,7 @@ from .prng import SplitMix64
 #   -> (B*T,H) or None; query rows are stream-major: row b*T + t is stream b at positions[t].
 # logits is q.K^T before the 1/sqrt(dk) scale and the causal mask; the softmax
 # then overwrites it in place, so a policy must neither write it nor keep it.
-# Equal policies that share a call (see `_forward`) but are not one object give the first a 7th argument: them all.
+# Equal policies of one group (see `_forward`) that are not one object give the first a 7th argument: them all.
 MaskPolicy = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, "PromptLayout"], Optional[np.ndarray]]
 
 _GELU_C = np.float32(0.7978845608028654)  # sqrt(2/pi)
@@ -187,33 +189,29 @@ class MultimodalPrompt:
 
 
 class KvCache:
-    """Key/value rows of the generation streams of one request in one array
-    `kv` (2, n_layers, n_streams, n_heads, max_len, d_head), preallocated to
-    max_len; `k` and `v` are its halves. All streams and layers share one
-    `length`; a forward over B streams writes rows [length, length + T) of
-    streams [0, B) into `pool`, the array `kv` views from stream `offset` on
-    (its own `kv`, or the pool of a `slot`).
+    """Key/value rows of one request's generation streams: streams [offset,
+    offset + n_streams) of `pool` (2, n_layers, streams, n_heads, max_len,
+    d_head), preallocated to max_len, which `kv` views (`k`, `v` its halves);
+    a `slot` shares the pool of the cache it came from. All streams and
+    layers share one `length`, the rows a forward appends after.
     `select` is the one way to branch; rows below `shared` are the same in
     every stream and are never copied. `truncate` drops rows from the end,
     so one cache can serve several requests whose prompts share a prefix.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, max_len: int, n_streams: int = 1):
-        self.max_len = max_len
-        self.kv = self.pool = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
+        self.max_len, self.n_streams = max_len, n_streams
+        self.pool = np.zeros((2, n_layers, n_streams, n_heads, max_len, d_head), dtype=np.float32)
         self.length = self.shared = self.offset = 0
 
+    kv = property(lambda self: self.pool[:, :, self.offset : self.offset + self.n_streams])
     k = property(lambda self: self.kv[0])
     v = property(lambda self: self.kv[1])
-
-    @property
-    def n_streams(self) -> int:
-        return self.kv.shape[2]
 
     def slot(self, first: int, n_streams: int) -> KvCache:
         """An empty cache of streams [first, first + n_streams) of this one's rows, with a length of its own."""
         view = copy.copy(self)
-        view.kv, view.offset, view.length, view.shared = self.kv[:, :, first : first + n_streams], self.offset + first, 0, 0
+        view.offset, view.n_streams, view.length, view.shared = self.offset + first, n_streams, 0, 0
         return view
 
     def truncate(self, n: int) -> None:
@@ -297,16 +295,12 @@ class Engine:
         rows.extend(self._embed_id(t) for t in prompt.suffix_ids[max(start - prompt.i_end, 0) :])
         return np.stack(rows).astype(np.float32)
 
-    def _step_position(self, tokens: list[int], cache: KvCache) -> int:
-        """A step's position in `cache`, checked against the context, the cache's room and the vocab."""
-        c, pos = self.config, cache.length
-        if pos + 1 > c.max_seq_len:
-            raise ContextOverflowError(f"sequence length {pos + 1} exceeds max_seq_len {c.max_seq_len}")
-        if pos + 1 > cache.max_len:
-            raise ContextOverflowError(f"kv cache overflow: {pos}+1 > {cache.max_len}")
-        if not 0 <= min(tokens) <= max(tokens) < c.vocab_size:
-            raise DataError(f"token ids {tokens} out of range for vocab {c.vocab_size}")
-        return pos
+    def _check_room(self, cache: KvCache, n: int) -> None:
+        """Check that `cache` can hold n rows: within the context and the cache's room."""
+        if n > self.config.max_seq_len:
+            raise ContextOverflowError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
+        if n > cache.max_len:
+            raise ContextOverflowError(f"kv cache overflow: {cache.length}+{n - cache.length} > {cache.max_len}")
 
     def step(self, tokens: list[int], cache: KvCache, layout: PromptLayout,
              policy: MaskPolicy | None = None) -> np.ndarray:
@@ -317,8 +311,11 @@ class Engine:
     def step_many(self, requests: list[tuple]) -> list[np.ndarray]:
         """`step(*r)` for every request r = (tokens, cache, layout, policy) in one
         forward, bitwise equal to stepping each alone."""
-        parts = [(cache, len(tokens), np.array([self._step_position(tokens, cache)]), layout, policy)
-                 for tokens, cache, layout, policy in requests]  # every request checked before any row is written
+        for tokens, cache, *_ in requests:  # every request checked before any row is written
+            self._check_room(cache, cache.length + 1)
+            if not 0 <= min(tokens) <= max(tokens) < self.config.vocab_size:
+                raise DataError(f"token ids {tokens} out of range for vocab {self.config.vocab_size}")
+        parts = [(cache, len(tokens), np.array([cache.length]), layout, policy) for tokens, cache, layout, policy in requests]
         logits = self._forward(self.checkpoint["embedding"].take([t for r in requests for t in r[0]], axis=0), parts)
         ends = itertools.accumulate(len(tokens) for tokens, *_ in requests)
         return [logits[end - len(tokens) : end] for (tokens, *_), end in zip(requests, ends)]
@@ -337,12 +334,8 @@ class Engine:
         absolute positions. Returns logits for the last position, or for
         every processed position when `return_all_logits` is set.
         """
-        c = self.config
         base, n = cache.length, len(prompt)
-        if n > c.max_seq_len:
-            raise ContextOverflowError(f"prompt length {n} exceeds max_seq_len {c.max_seq_len}")
-        if n > cache.max_len:
-            raise ContextOverflowError(f"kv cache overflow: {base}+{n - base} > {cache.max_len}")
+        self._check_room(cache, n)
         if base >= n:
             raise ConfigError(f"cache already holds {base} rows of a {n}-row prompt; nothing to prefill")
         out = self._forward(self.embed_prompt(prompt, base), [(cache, 1, np.arange(base, n), prompt.layout(), policy)])
@@ -353,14 +346,12 @@ class Engine:
         (cache, B, positions (T,), layout, policy) owns the next B*T rows, stream-major, appended to its
         cache's streams [0, B) (the caller checks they fit). A part of T > 1 rows comes alone. A lone part
         multiplies its rows as one 2-D product; consecutive parts of m rows each share one (R, m, k) @ w,
-        which makes each part's own BLAS call. Consecutive parts of B streams at one position, on consecutive
-        slots of one pool, attend as one group; within it, a run of one layout and equal policies makes one
-        policy call."""
+        which makes each part's own BLAS call. Consecutive parts of one key (pool, adjacent slots, key
+        count, B, layout, equal policies) form a group, built once per forward, that per layer writes its
+        new rows in one assignment, attends with one q.K^T, softmax and w.V, and makes one policy call."""
         c = self.config
         H, dk = c.n_heads, c.d_head
-        cache, _, positions = parts[0][:3]
-        T = len(positions)
-        future = np.arange(cache.length + T)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
+        T = len(parts[0][2])
         cs, sn = self._rope_tables(np.array([p for _, B, p, *_ in parts for _ in range(B)]))  # (streams, T, 1, dk)
         if len(parts) == 1:
             mm = self._matmul(len(x))
@@ -375,44 +366,38 @@ class Engine:
                     lo += r * m
                 return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-2)
 
-        starts = [0, *itertools.accumulate(B for _, B, *_ in parts)]  # each part's first stream
-        groups = []  # [pool, first pool stream, key count, first and end stream, policy calls]
-        for i, ((cache, B, positions, layout, policy), lo) in enumerate(zip(parts, starts)):
-            prev, prev_B, prev_positions, prev_layout, prev_policy = parts[i - 1]
-            if not (i and cache.pool is prev.pool and B == prev_B
-                    and cache.offset == prev.offset + B and positions[0] == prev_positions[0]):
-                groups.append([cache.pool, cache.offset, cache.length + T, lo, lo, []])
-            calls = groups[-1][5]  # [policies, first and end stream, positions, layout, extra arguments]
-            if calls and (layout, policy) == (prev_layout, prev_policy):  # equal policies make equal masks
-                calls[-1][0].append(policy)
-                if policy is not prev_policy:
-                    calls[-1][5] = (calls[-1][0],)
-            else:
-                calls.append([[policy], lo, lo, positions, layout, ()])
-            groups[-1][4] = calls[-1][2] = lo + B
+        starts = itertools.accumulate((B for _, B, *_ in parts), initial=0)  # each part's first stream
+        keyed = [((id(cache.pool), cache.offset - lo, cache.length + T, B, layout, policy), cache, lo, positions)
+                 for (cache, B, positions, layout, policy), lo in zip(parts, starts)]
+        groups = []  # (keys and values (2, layers, n, H, S, dk), streams, causal mask, policy, its last arguments)
+        for _, run in itertools.groupby(keyed, lambda part: part[0]):
+            run = list(run)
+            (_, _, S, B, layout, policy), cache, lo, positions = run[0]
+            n, policies = B * len(run), [key[5] for key, *_ in run]
+            future = np.arange(S)[None, :] > positions[:, None] if T > 1 else None  # (T, S)
+            peers = (policies,) if any(p is not policy for p in policies) else ()  # equal policies make equal masks
+            groups.append((cache.pool[:, :, cache.offset : cache.offset + n, :, :S], slice(lo, lo + n), future, policy,
+                           (positions, layout, *peers)))
 
         for layer, (attn_norm, wqkv, wo, ffn_norm, w1, w2) in enumerate(self._layers):
             # q, k, v from one dispatch of three matmuls; rope rotates q and k in place
             qkv = mm(rmsnorm(x, attn_norm), wqkv).reshape(3, -1, T, H, dk)
             qs, _ = _rope(qkv[:2], cs, sn, self._rope_perm)
             ctxs = []
-            for pool, s0, S, lo, hi, calls in groups:
-                kv = pool[:, layer, s0 : s0 + hi - lo, :, :S]  # (2, n, H, S, dk), a view of the pool
-                kv[:, :, :, S - T :] = qkv[1:, lo:hi].transpose(0, 1, 3, 2, 4)  # the new k (rotated) and v
+            for kv, rows, future, policy, args in groups:
+                kv = kv[:, layer]  # (2, n, H, S, dk), a view of the pool
+                kv[:, :, :, -T:] = qkv[1:, rows].transpose(0, 1, 3, 2, 4)  # the new k (rotated) and v
                 K, V = kv
+                q = qs[rows]
                 # the scores become the weights in their own buffer: no (n, H, T, S) temporaries
-                logits = np.matmul(qs[lo:hi].transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
-                masks = [(a - lo, b - lo, ps[0](layer, qs[a:b].reshape(-1, H, dk), K[a - lo : b - lo],
-                                                logits[a - lo : b - lo], positions, layout, *extra))
-                         for ps, a, b, positions, layout, extra in calls if ps[0] is not None]
+                logits = np.matmul(q.transpose(0, 2, 1, 3), K.transpose(0, 1, 3, 2))
+                mask = None if policy is None else policy(layer, q.reshape(-1, H, dk), K, logits, *args)
                 logits *= self._inv_sqrt_dk
                 if future is not None:
                     np.copyto(logits, np.float32(-np.inf), where=future)
-                w = _softmax(logits)  # (n, H, T, S)
-                ctx = np.matmul(w, V).transpose(0, 2, 1, 3).reshape(-1, H, dk)
-                for a, b, m in masks:
-                    if m is not None:
-                        ctx[a * T : b * T] *= m[:, :, None]
+                ctx = np.matmul(_softmax(logits), V).transpose(0, 2, 1, 3).reshape(-1, H, dk)
+                if mask is not None:
+                    ctx *= mask[:, :, None]
                 ctxs.append(ctx)
             ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs)
             x = x + mm(ctx.reshape(-1, c.d_model), wo)

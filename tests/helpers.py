@@ -68,7 +68,7 @@ def layer_lengths(cache: KvCache) -> tuple[int, ...]:
 
 
 def copy_cache(cache: KvCache) -> KvCache:
-    """Independent copy of a cache that is not a slot, for plain-path references that branch by copying."""
+    """Independent copy of a cache, for plain-path references that branch by copying."""
     return copy.deepcopy(cache)
 
 

@@ -1,3 +1,4 @@
+import copy
 import io
 
 import numpy as np
@@ -115,6 +116,17 @@ class TestCache:
         assert np.isfinite(cache.k[:, :2, :, :n]).all()
         assert np.isnan(cache.k[:, 2, :, :n]).all()
         assert np.array_equal(cache.k[:, :, :, n], gen[:, [2, 2, 0]])
+
+    def test_deep_copy_of_a_slot_steps_like_the_slot(self, engine, prompt):
+        """A deep copy of a prefilled slot is a cache of its own: stepped like the slot, it gives the
+        slot's logits and rows."""
+        slot = engine.new_cache(4).slot(2, 2)
+        engine.prefill(prompt, slot)
+        slot.select([0, 0])
+        twin = copy.deepcopy(slot)
+        want = engine.step([1, 2], slot, prompt.layout())
+        assert np.array_equal(engine.step([1, 2], twin, prompt.layout()), want)
+        assert twin.length == slot.length and np.array_equal(twin.kv, slot.kv)
 
     def test_overflow(self):
         engine = tiny_engine(max_seq_len=6)
@@ -695,11 +707,11 @@ def pooled_requests(draw, engine):
     live, prompts of one length, as many earlier steps, and no policy, one shared policy, or one equal
     traced policy per request. A request may break its group: one more earlier step (another key count),
     another layout of the same length, a skipped slot, one stream fewer, or another policy config (a
-    shared one then stays shared). Returns the requests and, stepped the same way on standalone caches,
-    their references."""
+    shared one then stays shared), or a slot of another pool at the offset that lines up. Returns the
+    requests and, stepped the same way on standalone caches, their references."""
     c = engine.config
     width, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    pool = engine.new_cache(2 * n * width, 24)
+    pool, other = (engine.new_cache(2 * n * width, 24) for _ in range(2))
     n_prefix, n_vision, n_suffix, steps = (draw(st.integers(lo, hi)) for lo, hi in ((0, 2), (1, 4), (1, 3), (0, 2)))
     cfg = SpinConfig(strategy=draw(st.sampled_from(STRATEGIES + ("image_attention",) * 2)), r=0.5,  # layouts matter to it
                      alpha=draw(st.sampled_from([0.0, 0.3])), layer_lo=1, layer_hi=draw(st.integers(1, c.n_layers)),
@@ -708,7 +720,7 @@ def pooled_requests(draw, engine):
     shared = SpinPolicy(cfg, c.n_layers, c.n_heads)  # untraced: a shared trace has its lines in layer order
     requests, refs, slot = [], [], 0
     for _ in range(n):
-        breaker = draw(st.sampled_from(["none"] * 3 + ["key count", "layout", "slot", "fewer streams", "policy"]))
+        breaker = draw(st.sampled_from(["none"] * 3 + ["key count", "layout", "slot", "fewer streams", "policy", "pool"]))
         slot += breaker == "slot"
         shift = breaker == "layout"
         prompt = random_prompt(draw(st.integers(0, 2**16)), c, n_prefix + shift, n_vision, n_suffix - shift)
@@ -716,7 +728,8 @@ def pooled_requests(draw, engine):
         spin_cfg = SpinConfig(**{**cfg.__dict__, "alpha": 0.6}) if breaker == "policy" else cfg
         tokens = [draw(st.lists(st.integers(0, c.vocab_size - 1), min_size=live, max_size=live))
                   for _ in range(steps + (breaker == "key count") + 1)]
-        for side, cache in (("g", pool.slot(slot * width, width)), ("r", engine.new_cache(width, 24))):
+        for side, cache in (("g", (other if breaker == "pool" else pool).slot(slot * width, width)),
+                            ("r", engine.new_cache(width, 24))):
             engine.prefill(prompt, cache)
             cache.select([0] * width)
             for earlier in tokens[:-1]:
@@ -732,10 +745,9 @@ def trace_text(policy) -> str:
 
 
 class TestGroups:
-    """Requests on consecutive slots of one pool at one key count attend as
-    one group, and a run of them with one layout and equal policies makes one
-    policy call: each request still gets its own `Engine.step` logits, cache
-    rows and trace bytes, bit for bit."""
+    """Consecutive requests of one key (pool, adjacent slots, key count, stream count, layout and equal
+    policies) attend and call the mask policy once per layer as one group: each request still gets its
+    own `Engine.step` logits, cache rows and trace bytes, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -750,31 +762,32 @@ class TestGroups:
             assert trace_text(policy) == trace_text(ref_policy)
 
     @pytest.mark.parametrize("breaker, calls", [
-        (None, [(8, 8)]), ("shared", [(8, 8)]), ("key count", [(4, 4), (4, 4)]), ("slot", [(4, 4), (4, 4)]),
-        ("layout", [(4, 8), (4, 8)]), ("policy", [(4, 8), (4, 8)])])
+        (None, [(7, 8, 8)]), ("shared", [(6, 8, 8)]), ("key count", [(7, 4, 4), (7, 4, 4)]),
+        ("slot", [(7, 4, 4), (7, 4, 4)]), ("layout", [(7, 4, 4), (7, 4, 4)]), ("policy", [(7, 4, 4), (7, 4, 4)]),
+        ("pool", [(7, 4, 4), (7, 4, 4)]), ("fewer streams", [(7, 4, 4), (6, 1, 1), (6, 1, 1)])])
     def test_one_policy_call_per_layer_and_run(self, breaker, calls, monkeypatch):
         """Four lockstep 2-stream requests on slots 0-3, the last two breaking off, make per layer one
-        policy call (streams, streams of its attention group) per run of equal parts, whose keys are a
-        view of the pool. Equal policies that are not one object give the first a seventh argument; one
-        shared policy gets six."""
+        policy call (arguments, streams of keys, streams of logits) per group, a run of parts of one key,
+        on all of the group's keys and logits, and the keys are a view of a pool. Equal policies that are
+        not one object give the first a seventh argument; one shared policy, or a group of one, gets six."""
         engine, c = STEP_MANY_ENGINE, STEP_MANY_ENGINE.config
-        pool, shared = engine.new_cache(5 * 2, 24), traced(SpinConfig(r=0.5, layer_hi=c.n_layers), c)
+        pool, other = (engine.new_cache(5 * 2, 24) for _ in range(2))
+        shared = traced(SpinConfig(r=0.5, layer_hi=c.n_layers), c)
         requests = []
         for k in range(4):
             late = k >= 2
             shift = late and breaker == "layout"
             prompt = random_prompt(k, c, 1 + shift, 3, 3 - shift)
-            cache = pool.slot(2 * (k + (late and breaker == "slot")), 2)
+            cache = (other if late and breaker == "pool" else pool).slot(2 * (k + (late and breaker == "slot")), 2)
             engine.prefill(prompt, cache)
             cache.select([0, 0])
             for _ in range(1 + (late and breaker == "key count")):
                 engine.step([k, k + 1], cache, prompt.layout())
             alpha = 0.5 if late and breaker == "policy" else 0.0
             policy = shared if breaker == "shared" else traced(SpinConfig(r=0.5, alpha=alpha, layer_hi=c.n_layers), c)
-            requests.append(([3, 4], cache, prompt.layout(), policy))
+            requests.append(([3, 4][: 1 if late and breaker == "fewer streams" else 2], cache, prompt.layout(), policy))
         seen, call = [], SpinPolicy.__call__
         monkeypatch.setattr(SpinPolicy, "__call__", lambda self, *a: seen.append(
-            (len(a), len(a[2]), len(a[3].base), a[2].base is pool.kv)) or call(self, *a))
+            (len(a), len(a[2]), len(a[3]), any(np.shares_memory(a[2], p.kv) for p in (pool, other)))) or call(self, *a))
         engine.step_many(requests)
-        args = 6 if breaker == "shared" else 7
-        assert seen == [(args, *call_streams, True) for _ in range(c.n_layers) for call_streams in calls]
+        assert seen == [(*group_call, True) for _ in range(c.n_layers) for group_call in calls]
