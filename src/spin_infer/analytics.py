@@ -176,17 +176,8 @@ def aggregate_masks(paths: Sequence[str | Path]) -> MaskHeatmap:
 def default_layer_grids(n_layers: int) -> list[tuple[int, int]]:
     """Prefix ranges [1, L0] and suffix ranges [L0, L] for L0 at 1/2, 5/8,
     3/4 and all of the stack."""
-    cuts = []
-    for frac in (0.5, 0.625, 0.75, 1.0):
-        cuts.append(max(1, int(np.floor(frac * n_layers + 0.5))))
-    grids: list[tuple[int, int]] = []
-    for c in cuts:
-        if (1, c) not in grids:
-            grids.append((1, c))
-    for c in cuts:
-        if (c, n_layers) not in grids:
-            grids.append((c, n_layers))
-    return grids
+    cuts = [max(1, int(np.floor(frac * n_layers + 0.5))) for frac in (0.5, 0.625, 0.75, 1.0)]
+    return list(dict.fromkeys([(1, c) for c in cuts] + [(c, n_layers) for c in cuts]))
 
 
 @dataclass
@@ -257,66 +248,48 @@ def tune_three_stage(
         layer_grids = default_layer_grids(n_layers)
     if not layer_grids:
         raise ConfigError("tuner layer grid must be non-empty")
+
+    def spin(r: float, alpha: float, lo: int, hi: int) -> SpinConfig:
+        return SpinConfig(strategy=strategy, r=r, alpha=alpha, layer_lo=lo, layer_hi=hi)
+
     # every grid value must make a valid config before the first eval runs
-    grid = [SpinConfig(strategy=strategy, r=r, layer_hi=n_layers) for r in r_grid]
-    grid += [SpinConfig(strategy=strategy, alpha=alpha, layer_hi=n_layers) for alpha in alpha_grid]
-    grid += [SpinConfig(strategy=strategy, layer_lo=lo, layer_hi=hi) for lo, hi in layer_grids]
-    for cfg in grid:
+    ratios = [spin(r, 0.0, 1, n_layers) for r in r_grid]
+    for cfg in ratios + [spin(0.0, a, 1, n_layers) for a in alpha_grid] + [spin(0.0, 0.0, *g) for g in layer_grids]:
         cfg.check_layers(n_layers)
 
-    cache: dict[SpinConfig, dict[str, float]] = {}
+    memo: dict[SpinConfig | None, dict[str, float]] = {}
 
-    def run(cfg: SpinConfig) -> dict[str, float]:
-        if cfg not in cache:
+    def run(cfg: SpinConfig | None) -> dict[str, float]:
+        if cfg not in memo:
             m = eval_fn(cfg)
-            cache[cfg] = {"c_s": float(m["c_s"]), "f1": float(m["f1"])}
-        return cache[cfg]
+            memo[cfg] = {"c_s": float(m["c_s"]), "f1": float(m["f1"])}
+        return dict(memo[cfg])
 
-    base = eval_fn(None)
-    baseline = {"c_s": float(base["c_s"]), "f1": float(base["f1"])}
+    baseline = run(None)
+    stages: list[SweepStage] = []
 
-    # stage 1: ratio of suppressed heads, full stack, hard pruning
-    entries1 = []
-    for r in r_grid:
-        cfg = SpinConfig(strategy=strategy, r=r, alpha=0.0, layer_lo=1, layer_hi=n_layers)
-        m = run(cfg)
+    def stage(name: str, configs: list[SpinConfig], entry: Callable, rank: Callable) -> SpinConfig:
+        """Evaluate `configs` in order and select the entry of the lowest rank; `min` keeps the earliest on ties."""
+        entries = [entry(cfg, run(cfg)) for cfg in configs]
+        selected = min(range(len(entries)), key=lambda i: rank(entries[i]))
+        stages.append(SweepStage(name, entries, selected))
+        return entries[selected].config
+
+    def drop_entry(cfg: SpinConfig, m: dict[str, float]) -> SweepEntry:
         drop = baseline["f1"] - m["f1"]
-        entries1.append(
-            SweepEntry(cfg, {**m, "f1_drop": drop}, satisfies_constraint=drop <= f1_drop_limit)
-        )
-    ok = [i for i, e in enumerate(entries1) if e.satisfies_constraint]
-    if ok:
-        sel1 = min(ok, key=lambda i: (entries1[i].metrics["c_s"], i))
-    else:
-        sel1 = min(range(len(entries1)), key=lambda i: (entries1[i].metrics["f1_drop"], i))
-    r_sel = entries1[sel1].config.r
+        return SweepEntry(cfg, {**m, "f1_drop": drop}, satisfies_constraint=drop <= f1_drop_limit)
 
+    # stage 1: ratio of suppressed heads, full stack, hard pruning; any entry within the F1 drop limit
+    # outranks every entry beyond it
+    ratio = stage("suppression_ratio", ratios, drop_entry,
+                  lambda e: (0, e.metrics["c_s"]) if e.satisfies_constraint else (1, e.metrics["f1_drop"])).r
     # stage 2: layer range at the chosen r
-    entries2 = []
-    for lo, hi in layer_grids:
-        cfg = SpinConfig(strategy=strategy, r=r_sel, alpha=0.0, layer_lo=lo, layer_hi=hi)
-        entries2.append(SweepEntry(cfg, dict(run(cfg))))
-    sel2 = min(range(len(entries2)), key=lambda i: (entries2[i].metrics["c_s"], i))
-    lo_sel, hi_sel = entries2[sel2].config.layer_lo, entries2[sel2].config.layer_hi
-
+    layers = stage("layer_range", [spin(ratio, 0.0, lo, hi) for lo, hi in layer_grids], SweepEntry,
+                   lambda e: e.metrics["c_s"])
     # stage 3: suppression factor, scalarized hallucination/F1 trade-off
-    entries3 = []
-    for alpha in alpha_grid:
-        cfg = SpinConfig(strategy=strategy, r=r_sel, alpha=alpha, layer_lo=lo_sel, layer_hi=hi_sel)
-        m = run(cfg)
-        obj = m["c_s"] + tradeoff_lambda * (baseline["f1"] - m["f1"])
-        entries3.append(SweepEntry(cfg, dict(m), objective=obj))
-    sel3 = min(range(len(entries3)), key=lambda i: (entries3[i].objective, i))
-
-    stages = [
-        SweepStage("suppression_ratio", entries1, sel1),
-        SweepStage("layer_range", entries2, sel2),
-        SweepStage("suppression_factor", entries3, sel3),
-    ]
-    return SweepResult(
-        baseline=baseline,
-        stages=stages,
-        selected=entries3[sel3].config,
-        f1_drop_limit=f1_drop_limit,
-        tradeoff_lambda=tradeoff_lambda,
+    selected = stage(
+        "suppression_factor", [spin(ratio, a, layers.layer_lo, layers.layer_hi) for a in alpha_grid],
+        lambda cfg, m: SweepEntry(cfg, m, objective=m["c_s"] + tradeoff_lambda * (baseline["f1"] - m["f1"])),
+        lambda e: e.objective,
     )
+    return SweepResult(baseline, stages, selected, f1_drop_limit, tradeoff_lambda)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .analytics import aggregate_masks, profile_attention, tune_three_stage
+from .analytics import AttentionProfile, MaskHeatmap, aggregate_masks, profile_attention, tune_three_stage
 from .config import load_run_config
 from .corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus
 from .decoding import generate
@@ -92,28 +92,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _write_csv_and_json(prefix: str, result: AttentionProfile | MaskHeatmap) -> int:
+    """Write `result` to <prefix>.csv and <prefix>.json."""
+    result.write_csv(prefix + ".csv")
+    with open(prefix + ".json", "w", encoding="utf-8") as fh:
+        json.dump(result.to_dict(), fh, indent=2)
+    print(f"wrote {prefix}.csv and {prefix}.json")
+    return 0
+
+
 def cmd_profile(args) -> int:
     cfg = load_run_config(args.config)
     engine, records, _, _ = load_eval_inputs(cfg, "profile")
     prompts = [MultimodalPrompt([], r.vision, r.prompt_ids) for r in records]
     profile = profile_attention(engine, prompts, cfg.decode, build_policy(cfg, engine, write_trace=False))
-    profile.write_csv(args.out_prefix + ".csv")
-    with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-    print(f"wrote {args.out_prefix}.csv and {args.out_prefix}.json")
-    return 0
+    return _write_csv_and_json(args.out_prefix, profile)
 
 
 def cmd_heatmap(args) -> int:
     for path in args.traces:  # a missing file or a directory
         if not os.path.isfile(path):
             raise ConfigError(f"--traces: file not found: {path}")
-    heatmap = aggregate_masks(args.traces)
-    heatmap.write_csv(args.out_prefix + ".csv")
-    with open(args.out_prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(heatmap.to_dict(), fh, indent=2)
-    print(f"wrote {args.out_prefix}.csv and {args.out_prefix}.json")
-    return 0
+    return _write_csv_and_json(args.out_prefix, aggregate_masks(args.traces))
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -113,23 +113,11 @@ def _apply_env_overrides(raw: dict, environ=None) -> dict:
     return raw
 
 
-def _spin_fields(raw) -> dict:
-    """A spin section's keys as SpinConfig fields: the file writes the layer
-    range as `layer_range` [lo, hi], not as `layer_lo` and `layer_hi`."""
-    raw = dict(schema.read(dict, raw, "spin", ConfigError))
-    _require(not raw.keys() & {"layer_lo", "layer_hi"}, "spin",
-             f"unknown keys: {sorted(raw.keys() & {'layer_lo', 'layer_hi'})}")
-    lo_hi = schema.read(list[int], raw.pop("layer_range", [1, 1]), "spin.layer_range", ConfigError)
-    _require(len(lo_hi) == 2, "spin.layer_range", f"expected [lo, hi], got {lo_hi!r}")
-    return {**raw, "layer_lo": lo_hi[0], "layer_hi": lo_hi[1]}
-
-
 def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> RunConfig:
     """Validate a raw config dict (already parsed from JSON); a null section
     is an absent one."""
     raw = {k: v for k, v in _apply_env_overrides(dict(raw), environ).items() if v is not None}
-    if "spin" in raw:
-        raw["spin"] = _spin_fields(raw["spin"])
+    spin = SpinConfig.from_dict(raw.pop("spin")) if "spin" in raw else None
     cfg = schema.read(RunConfig, raw, "", ConfigError)
 
     def resolve(key: str, p: str, must_exist: bool = True) -> str:
@@ -143,7 +131,7 @@ def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> Run
     if ev is not None:
         ev = replace(ev, **{n: resolve(f"eval.{n}", getattr(ev, n)) for n in ("corpus", "vocab", "tokens")})
     out = replace(out, **{n: resolve(n, p, False) for n, p in asdict(out).items() if p is not None})
-    return replace(cfg, model=model, eval=ev, output=out)
+    return replace(cfg, model=model, spin=spin, eval=ev, output=out)
 
 
 def load_run_config(path: str | Path, environ=None) -> RunConfig:

@@ -192,18 +192,9 @@ class CorpusPaths:
 
 
 def build_token_table(object_names: list[str], synonyms: dict[str, str]) -> TokenTable:
-    words: list[str] = [EOS_TOKEN, "yes", "no"]
-    seen = set(words)
-    for w in QUESTION_WORDS + caption_words(INSTRUCTION_TEXT) + FILLER_WORDS:
-        if w not in seen:
-            words.append(w)
-            seen.add(w)
-    for name in list(object_names) + sorted(synonyms):
-        for w in caption_words(name):
-            if w not in seen:
-                words.append(w)
-                seen.add(w)
-    return TokenTable(words, eos_id=0)
+    words = [EOS_TOKEN, "yes", "no"] + QUESTION_WORDS + caption_words(INSTRUCTION_TEXT) + FILLER_WORDS
+    words += [w for name in list(object_names) + sorted(synonyms) for w in caption_words(name)]
+    return TokenTable(list(dict.fromkeys(words)), eos_id=0)
 
 
 def _unit(rng: SplitMix64, dim: int) -> np.ndarray:

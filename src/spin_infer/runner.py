@@ -169,8 +169,9 @@ def run_eval(cfg: RunConfig, write_outputs: bool = True, inputs: EvalInputs | No
     inflight: dict[int, tuple] = {}  # record index -> (its _eval_record generator, its slot, its start, its step request)
     buffers: dict[int, MaskTraceWriter] = {}  # record index -> its trace lines until committed
     n = cfg.decode.n_streams  # per slot of the KV pool: one slot a record in flight, as long as the longest reach
-    reach = [len(r.prompt_ids) + len(r.vision) + max(cfg.decode.max_new_tokens, sum(  # prompt, then caption or POPE turns
-        len(caption_words(item.question())) + ev.pope_max_new_tokens for item in r.pope if ev.pope)) for r in records]
+    turns = sum if ev.pope_mode == "multi_turn" else max  # a single turn truncates the slot back to the prompt
+    reach = [len(r.prompt_ids) + len(r.vision) + max(cfg.decode.max_new_tokens, turns([0] + [  # prompt, caption or turns
+        len(caption_words(item.question())) + ev.pope_max_new_tokens for item in r.pope if ev.pope])) for r in records]
     pool = engine.new_cache(IN_FLIGHT * n, max(reach))
 
     def resume(i: int, logits=None) -> None:

@@ -18,6 +18,7 @@ from typing import IO
 
 import numpy as np
 
+from . import schema
 from .engine import PromptLayout
 from .errors import ConfigError
 
@@ -52,6 +53,17 @@ class SpinConfig:
         """Raise ConfigError unless the layer range fits an n_layers model."""
         if self.layer_hi > n_layers:
             raise ConfigError(f"spin.layer_range [{self.layer_lo}, {self.layer_hi}] exceeds n_layers {n_layers}")
+
+    @classmethod
+    def from_dict(cls, raw) -> SpinConfig:
+        """A run config's spin section, which writes the layer range as `layer_range` [lo, hi]."""
+        raw = dict(schema.read(dict, raw, "spin", ConfigError))
+        if raw.keys() & {"layer_lo", "layer_hi"}:
+            raise ConfigError(f"spin: unknown keys: {sorted(raw.keys() & {'layer_lo', 'layer_hi'})}")
+        lo_hi = schema.read(list[int], raw.pop("layer_range", [1, 1]), "spin.layer_range", ConfigError)
+        if len(lo_hi) != 2:
+            raise ConfigError(f"spin.layer_range: expected [lo, hi], got {lo_hi!r}")
+        return schema.read(cls, {**raw, "layer_lo": lo_hi[0], "layer_hi": lo_hi[1]}, "spin", ConfigError)
 
     def to_dict(self) -> dict:
         return {

@@ -332,6 +332,67 @@ def reference_eval(cfg, inputs) -> tuple[dict, str]:
     return report, fh.getvalue()
 
 
+def reference_tune(eval_fn, n_layers, r_grid, alpha_grid, layer_grids, f1_drop_limit, tradeoff_lambda) -> dict:
+    """`tune_three_stage(...).to_dict()`, written stage by stage from its
+    docstring with one plain loop per selection: a later entry wins only
+    when it is strictly lower, so ties go to the earliest."""
+
+    def metrics(cfg):
+        m = eval_fn(cfg)
+        return {"c_s": float(m["c_s"]), "f1": float(m["f1"])}
+
+    def earliest_lowest(indices, value):
+        best = indices[0]
+        for i in indices[1:]:
+            if value(i) < value(best):
+                best = i
+        return best
+
+    def entry(cfg, m, objective=None, satisfies_constraint=None):
+        return {"config": cfg.to_dict(), "metrics": m, "objective": objective,
+                "satisfies_constraint": satisfies_constraint}
+
+    baseline = metrics(None)
+
+    # stage 1: r with alpha 0 over all layers; the lowest C_s within the F1 drop limit, else the smallest drop
+    entries1 = []
+    for r in r_grid:
+        cfg = SpinConfig(r=r, alpha=0.0, layer_lo=1, layer_hi=n_layers)
+        m = metrics(cfg)
+        drop = baseline["f1"] - m["f1"]
+        entries1.append(entry(cfg, {**m, "f1_drop": drop}, satisfies_constraint=drop <= f1_drop_limit))
+    within = [i for i, e in enumerate(entries1) if e["satisfies_constraint"]]
+    if within:
+        sel1 = earliest_lowest(within, lambda i: entries1[i]["metrics"]["c_s"])
+    else:
+        sel1 = earliest_lowest(list(range(len(entries1))), lambda i: entries1[i]["metrics"]["f1_drop"])
+    r_sel = r_grid[sel1]
+
+    # stage 2: layer ranges at that r, for minimal C_s
+    entries2 = []
+    for lo, hi in layer_grids:
+        cfg = SpinConfig(r=r_sel, alpha=0.0, layer_lo=lo, layer_hi=hi)
+        entries2.append(entry(cfg, metrics(cfg)))
+    sel2 = earliest_lowest(list(range(len(entries2))), lambda i: entries2[i]["metrics"]["c_s"])
+    lo_sel, hi_sel = layer_grids[sel2]
+
+    # stage 3: alpha at that r and range, minimizing C_s + lambda * (baseline F1 - F1)
+    entries3 = []
+    for alpha in alpha_grid:
+        cfg = SpinConfig(r=r_sel, alpha=alpha, layer_lo=lo_sel, layer_hi=hi_sel)
+        m = metrics(cfg)
+        entries3.append(entry(cfg, m, objective=m["c_s"] + tradeoff_lambda * (baseline["f1"] - m["f1"])))
+    sel3 = earliest_lowest(list(range(len(entries3))), lambda i: entries3[i]["objective"])
+
+    stages = [
+        {"name": "suppression_ratio", "entries": entries1, "selected_index": sel1},
+        {"name": "layer_range", "entries": entries2, "selected_index": sel2},
+        {"name": "suppression_factor", "entries": entries3, "selected_index": sel3},
+    ]
+    return {"baseline": baseline, "stages": stages, "selected": entries3[sel3]["config"],
+            "f1_drop_limit": f1_drop_limit, "tradeoff_lambda": tradeoff_lambda}
+
+
 def top_k_heads(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest scores; ties keep the lower head index."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_infer.analytics import (
     aggregate_masks,
@@ -16,7 +18,7 @@ from spin_infer.engine import Engine, MultimodalPrompt
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.spin import MaskTraceWriter, SpinConfig, SpinPolicy
 
-from helpers import random_prompt, ref_softmax, tiny_config, tiny_engine, uniform_attention_checkpoint
+from helpers import random_prompt, ref_softmax, reference_tune, tiny_config, tiny_engine, uniform_attention_checkpoint
 
 
 def uniform_engine(**kw):
@@ -245,7 +247,43 @@ def stub_eval(table):
     return eval_fn
 
 
+@st.composite
+def tuner_grids(draw) -> dict:
+    """tune_three_stage's arguments: grids with repeated entries, and every layer grid or the default ones."""
+    n_layers = draw(st.integers(1, 6))
+    ranges = st.tuples(st.integers(1, n_layers), st.integers(1, n_layers)).map(lambda t: tuple(sorted(t)))
+    return {
+        "n_layers": n_layers,
+        "r_grid": draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), min_size=1, max_size=4)),
+        "alpha_grid": draw(st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0]), min_size=1, max_size=4)),
+        "layer_grids": draw(st.none() | st.lists(ranges, min_size=1, max_size=4)),
+        "f1_drop_limit": draw(st.sampled_from([0.0, 0.03, 0.05])),
+        "tradeoff_lambda": draw(st.sampled_from([0.0, 1.0, 2.0])),
+    }
+
+
 class TestTuner:
+    @settings(max_examples=200, deadline=None)
+    @given(grids=tuner_grids(), data=st.data())
+    def test_equals_reference_selection(self, grids, data):
+        """Metric tables drawn config by config, on each config's first eval, with ties and F1 drops
+        on both sides of the limit: the result is the plain reference's, and each distinct config is
+        evaluated once, in the order the stages list them."""
+        values = st.sampled_from([0.1, 0.2, 0.25, 0.75, 0.77, 0.78, 0.8])
+        table, calls = {}, []
+
+        def eval_fn(cfg):
+            calls.append(cfg)
+            if cfg not in table:
+                table[cfg] = {"c_s": data.draw(values), "f1": data.draw(values)}
+            return table[cfg]
+
+        result = tune_three_stage(eval_fn, **grids)
+        assert calls == [None] + list(dict.fromkeys(e.config for s in result.stages for e in s.entries))
+        layer_grids = grids["layer_grids"] or default_layer_grids(grids["n_layers"])
+        expected = reference_tune(table.__getitem__, **{**grids, "layer_grids": layer_grids})
+        assert json.dumps(result.to_dict()) == json.dumps(expected)
+
     def test_hand_derived_selection(self):
         # stage 1 at (1,4): r=0.1 violates the 3-point F1 constraint, r=0.2
         # satisfies it; stage 2 prefers layers (1,2); stage 3 trades off C_s

@@ -409,6 +409,26 @@ class TestSlots:
                 _, outs, _ = reference_eval_record(inputs.engine, rec, cfg, inputs.table, policy)
                 assert report["generations"][rec.record_id] == {"caption": outs[0], "pope": outs[1:]}, rec.record_id
 
+    @pytest.mark.parametrize("pope_mode", ["multi_turn", "single_turn"])
+    def test_pool_holds_the_longest_reach(self, workspace, tmp_path, monkeypatch, pope_mode):
+        """A slot holds a record's prompt, then its caption or its POPE turns: every turn multi-turn,
+        only the longest single-turn, where each turn starts again from the prompt."""
+        cfg = load_run_config(workspace.run_config(tmp_path / "run.json", eval={"pope_mode": pope_mode}), environ={})
+        inputs = load_eval_inputs(cfg, "eval")
+        ev, turns = cfg.eval, sum if pope_mode == "multi_turn" else max
+        want = max(len(r.prompt_ids) + len(r.vision) + max(cfg.decode.max_new_tokens, turns(
+            len(inputs.table.encode_text(item.question())) + ev.pope_max_new_tokens for item in r.pope))
+            for r in inputs.records)
+        max_lens, new_cache = [], Engine.new_cache
+
+        def recorded_new_cache(self, n_streams=1, max_len=None):
+            max_lens.append(max_len)
+            return new_cache(self, n_streams, max_len)
+
+        monkeypatch.setattr(Engine, "new_cache", recorded_new_cache)
+        run_eval(cfg, write_outputs=False, inputs=inputs)
+        assert max_lens == [want]
+
 
 class TestGroupedSteps:
     def test_lockstep_step_makes_one_policy_call_per_layer(self, workspace, tmp_path, monkeypatch):
