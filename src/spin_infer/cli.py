@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .analytics import AttentionProfile, MaskHeatmap, aggregate_masks, profile_attention, tune_three_stage
@@ -25,34 +26,21 @@ from .model import ModelConfig, init_checkpoint, save_checkpoint
 from .runner import build_policy, load_eval_inputs, run_eval, spin_eval_fn
 
 
+def _from_flags(cls, args):
+    """`cls` built from the flags whose dest is one of its fields; a flag the
+    parser did not set leaves its field at the dataclass default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+
+
 def cmd_init_ckpt(args) -> int:
-    config = ModelConfig(
-        n_layers=args.layers,
-        n_heads=args.heads,
-        d_model=args.d_model,
-        d_ffn=args.d_ffn,
-        vocab_size=args.vocab_size,
-        max_seq_len=args.max_seq_len,
-    )
-    ckpt = init_checkpoint(config, args.seed)
+    ckpt = init_checkpoint(_from_flags(ModelConfig, args), args.seed)
     save_checkpoint(ckpt, args.out)
     print(f"wrote {args.out} ({len(ckpt.tensors)} tensors)")
     return 0
 
 
 def cmd_make_corpus(args) -> int:
-    spec = SyntheticCorpusSpec(
-        n_images=args.images,
-        span_len=args.span_len,
-        embed_dim=args.embed_dim,
-        n_objects=args.objects,
-        objects_per_image=args.objects_per_image,
-        pope_pairs_per_split=args.pope_pairs,
-        zipf_s=args.zipf_s,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    paths = generate_synthetic_corpus(spec, args.out_dir)
+    paths = generate_synthetic_corpus(_from_flags(SyntheticCorpusSpec, args), args.out_dir)
     table = TokenTable.load(paths.tokens)
     print(f"wrote {paths.corpus}")
     print(f"wrote {paths.vocab}")
@@ -169,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init-ckpt", help="create a deterministic random checkpoint")
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--heads", type=int, required=True)
+    p.add_argument("--layers", dest="n_layers", type=int, required=True)
+    p.add_argument("--heads", dest="n_heads", type=int, required=True)
     p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--d-ffn", type=int, required=True)
     p.add_argument("--vocab-size", type=int, required=True)
@@ -179,16 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_init_ckpt)
 
-    p = sub.add_parser("make-corpus", help="generate a synthetic evaluation corpus")
-    p.add_argument("--images", type=int, required=True)
+    p = sub.add_parser("make-corpus", help="generate a synthetic evaluation corpus",
+                       argument_default=argparse.SUPPRESS)  # an unset flag keeps SyntheticCorpusSpec's default
+    p.add_argument("--images", dest="n_images", type=int, required=True)
     p.add_argument("--span-len", type=int, required=True)
     p.add_argument("--embed-dim", type=int, required=True)
-    p.add_argument("--objects", type=int, default=24)
-    p.add_argument("--objects-per-image", type=int, default=3)
-    p.add_argument("--pope-pairs", type=int, default=1)
-    p.add_argument("--zipf-s", type=float, default=1.1)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--objects", dest="n_objects", type=int)
+    p.add_argument("--objects-per-image", type=int)
+    p.add_argument("--pope-pairs", dest="pope_pairs_per_split", type=int)
+    p.add_argument("--zipf-s", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_make_corpus)
 

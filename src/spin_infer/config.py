@@ -108,7 +108,8 @@ def _apply_env_overrides(raw: dict, environ=None) -> dict:
         node, dotted = raw, []
         for name in [section] + [q.lower() for q in parts[1:-1]]:
             dotted.append(name)
-            node = schema.read(dict, node.setdefault(name, {}), ".".join(dotted), ConfigError, key)
+            child = {} if node.get(name) is None else node[name]  # null is absent; the path's dicts are copied
+            node[name] = node = dict(schema.read(dict, child, ".".join(dotted), ConfigError, key))
         node[parts[-1].lower()] = parsed
     return raw
 

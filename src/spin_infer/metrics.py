@@ -12,7 +12,6 @@ import string
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .engine import MultimodalPrompt
 from .errors import DataError
 
 POPE_SPLITS = ("random", "popular", "adversarial")
@@ -281,19 +280,3 @@ def pope_eval(items: list[PopeItem]) -> PopeReport:
     for sc in splits.values():
         overall.add(sc)
     return PopeReport(splits={k: v for k, v in splits.items() if v.total}, overall=overall)
-
-
-def build_multiturn_context(
-    base_prompt: MultimodalPrompt,
-    prior_turns: list[tuple[list[int], list[int]]],
-    next_question: list[int],
-) -> MultimodalPrompt:
-    """Prompt for the next turn: base context, then every prior (question,
-    answer) pair in order, then the next question."""
-    extra: list[int] = []
-    for q_ids, a_ids in prior_turns:
-        extra.extend(q_ids)
-        extra.extend(a_ids)
-    extra.extend(next_question)
-    return base_prompt.extended(extra)
-

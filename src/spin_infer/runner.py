@@ -28,7 +28,6 @@ from .metrics import (
     CaptionRecord,
     ObjectVocabulary,
     PopeItem,
-    build_multiturn_context,
     caption_words,
     chair_scores,
     pope_eval,
@@ -109,8 +108,8 @@ def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: To
 
     The record's requests share `cache`. Each request leaves it holding
     its prompt's rows, and every POPE prompt extends the base prompt (and,
-    multi-turn, the previous turn's prompt), so a turn prefills only the
-    rows its prompt adds."""
+    multi-turn, the last turn's prompt and answer), so a turn prefills only
+    the rows its prompt adds."""
     ev = cfg.eval
     base_prompt = MultimodalPrompt([], record.vision, record.prompt_ids)
     items = record.pope if ev.pope else []
@@ -125,20 +124,18 @@ def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: To
 
     answered: list[PopeItem] = []
     skipped = 0
-    turns: list[tuple[list[int], list[int]]] = []
+    extra: list[int] = []  # multi-turn: every earlier question and its answer, eos removed
     for j, item in enumerate(items):
         q_ids = table.encode_text(item.question())
-        prior = turns if ev.pope_mode == "multi_turn" else []
-        if not prior:
-            cache.truncate(len(base_prompt))
-        prompt_j = build_multiturn_context(base_prompt, prior, q_ids)
+        cache.truncate(len(base_prompt) + len(extra))  # single-turn: back to the base prompt; multi-turn: a no-op
         pcfg = replace(
             cfg.decode,
             seed=derive_seed(cfg.decode.seed, record.record_id, "pope", j),
             max_new_tokens=ev.pope_max_new_tokens,
         )
         try:
-            res = yield from decode(engine, prompt_j, pcfg, policy, token_table=table, cache=cache)
+            res = yield from decode(engine, base_prompt.extended(extra + q_ids), pcfg, policy, token_table=table,
+                                    cache=cache)
         except ContextOverflowError:
             skipped = len(record.pope) - j
             log.warning(
@@ -148,7 +145,8 @@ def _eval_record(engine: Engine, record: CorpusRecord, cfg: RunConfig, table: To
             break
         results.append(res)
         answered.append(replace(item, answer=res.text))
-        turns.append((q_ids, [t for t in res.token_ids if t != table.eos_id]))
+        if ev.pope_mode == "multi_turn":
+            extra += q_ids + [t for t in res.token_ids if t != table.eos_id]
     return results, caption_record, answered, skipped
 
 

@@ -15,7 +15,7 @@ from spin_infer import __version__
 from spin_infer.decoding import DecodeConfig, _log_softmax64, apply_repetition_penalty, generate
 from spin_infer.engine import ROPE_BASE, Engine, KvCache, MultimodalPrompt
 from spin_infer.errors import ConfigError, ContextOverflowError, DataError, SpinInferError
-from spin_infer.metrics import CaptionRecord, build_multiturn_context, chair_scores, pope_eval
+from spin_infer.metrics import CaptionRecord, chair_scores, pope_eval
 from spin_infer.model import Checkpoint, ModelConfig, init_checkpoint
 from spin_infer.prng import SplitMix64, derive_seed
 from spin_infer.runner import REPORT_NOTES
@@ -247,6 +247,18 @@ def reference_beam(engine: Engine, prompt: MultimodalPrompt, config: DecodeConfi
             break
     _, _, best, at_eos = min(finished, key=lambda f: (-f[0], f[1]))
     return best, step_scores, at_eos, truncated
+
+
+def build_multiturn_context(base_prompt: MultimodalPrompt, prior_turns: list[tuple[list[int], list[int]]],
+                            next_question: list[int]) -> MultimodalPrompt:
+    """Prompt for the next POPE turn, rebuilt from scratch: base context, then
+    every prior (question, answer) pair in order, then the next question."""
+    extra: list[int] = []
+    for q_ids, a_ids in prior_turns:
+        extra.extend(q_ids)
+        extra.extend(a_ids)
+    extra.extend(next_question)
+    return base_prompt.extended(extra)
 
 
 def reference_eval_record(engine: Engine, record, cfg, table, policy=None):

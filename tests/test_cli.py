@@ -85,6 +85,13 @@ class TestMakeCorpus:
         assert (tmp_path / "c" / "tokens.json").exists()
         assert "vocab_size needed" in stdout
 
+    def test_unset_flags_take_spec_defaults(self, tmp_path, capsys):
+        argv = ["make-corpus", "--images", "3", "--span-len", "2", "--embed-dim", "8"]
+        assert run_cli(capsys, *argv, "--out-dir", str(tmp_path / "cli"))[0] == 0
+        generate_synthetic_corpus(SyntheticCorpusSpec(3, 2, 8), tmp_path / "lib")
+        for name in ("corpus.jsonl", "vocab.tsv", "tokens.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
     def test_too_few_objects_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "make-corpus", "--images", "3", "--span-len", "2", "--embed-dim", "8",

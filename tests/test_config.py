@@ -172,6 +172,19 @@ class TestEnvOverrides:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_run_config(minimal_raw(workspace), environ={"SPIN__NOPE__X": "1"})
 
+    def test_null_section_takes_overrides(self, workspace):
+        raw = minimal_raw(workspace)
+        raw["spin"] = None
+        cfg = parse_run_config(raw, environ={"SPIN__SPIN__R": "0.5", "SPIN__SPIN__LAYER_RANGE": "[1, 2]"})
+        assert (cfg.spin.r, cfg.spin.layer_lo, cfg.spin.layer_hi) == (0.5, 1, 2)
+
+    def test_override_leaves_callers_dict_alone(self, workspace):
+        raw = minimal_raw(workspace)
+        raw["decode"] = {"seed": 1}
+        before = json.dumps(raw, sort_keys=True)
+        assert parse_run_config(raw, environ={"SPIN__DECODE__SEED": "42"}).decode.seed == 42
+        assert json.dumps(raw, sort_keys=True) == before
+
 
 class TestRoundtrip:
     def test_to_dict_reparses_identically(self, workspace):

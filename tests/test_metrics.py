@@ -11,7 +11,6 @@ from spin_infer.metrics import (
     CaptionRecord,
     ObjectVocabulary,
     PopeItem,
-    build_multiturn_context,
     chair_scores,
     extract_objects,
     f1_score,
@@ -19,6 +18,8 @@ from spin_infer.metrics import (
     pope_eval,
 )
 from spin_infer.prng import SplitMix64
+
+from helpers import build_multiturn_context
 
 
 @pytest.fixture
