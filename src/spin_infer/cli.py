@@ -1,9 +1,10 @@
 """Command-line surface: spin-infer <subcommand>.
 
-Every command that decodes (generate, eval, profile, tune) reads one run
-config, --config; a one-off setting is a SPIN__SECTION__KEY environment
-override of it. Exit codes: 0 success, 2 config error, 3 data error, 4
-runtime error.
+Every command that decodes (generate, eval, profile, tune) reads its run
+settings from one run config, --config, and takes only output paths (and
+generate's --record-id) as flags; tune's sweep is the config's `tune` section.
+A one-off setting is a SPIN__SECTION__KEY environment override. Exit codes: 0
+success, 2 config error, 3 data error, 4 runtime error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import __version__
 from .analytics import AttentionProfile, MaskHeatmap, aggregate_masks, profile_attention, tune_three_stage
@@ -104,43 +105,12 @@ def cmd_heatmap(args) -> int:
     return _write_csv_and_json(args.out_prefix, aggregate_masks(args.traces))
 
 
-def _parse_grid(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad grid {text!r}: {e}") from e
-
-
-def _parse_layer_grids(text: str | None, n_layers: int) -> list[tuple[int, int]] | None:
-    if text is None:
-        return None
-    grids = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            lo, hi = part.split("-")
-            grids.append((int(lo), int(hi)))
-        except ValueError as e:
-            raise ConfigError(f"bad layer grid entry {part!r} (want LO-HI): {e}") from e
-    return grids or None
-
-
 def cmd_tune(args) -> int:
     cfg = load_run_config(args.config)
+    if cfg.tune is None:
+        raise ConfigError("tune: section missing (required by tune)")
     inputs = load_eval_inputs(cfg, "tune")
-    n_layers = inputs.engine.config.n_layers
-    result = tune_three_stage(
-        spin_eval_fn(cfg, inputs),
-        n_layers=n_layers,
-        r_grid=_parse_grid(args.r_grid),
-        alpha_grid=_parse_grid(args.alpha_grid),
-        layer_grids=_parse_layer_grids(args.layer_grids, n_layers),
-        strategy=args.strategy,
-        f1_drop_limit=args.f1_drop,
-        tradeoff_lambda=args.tradeoff,
-    )
+    result = tune_three_stage(spin_eval_fn(cfg, inputs), inputs.engine.config.n_layers, **asdict(cfg.tune))
     out = result.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,13 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="three-stage r / layer-range / alpha selection")
     p.add_argument("--config", required=True)
-    p.add_argument("--r-grid", required=True, help="comma-separated, e.g. 0.1,0.25,0.5")
-    p.add_argument("--alpha-grid", required=True)
-    p.add_argument("--layer-grids", default=None, help="comma-separated LO-HI pairs")
-    p.add_argument("--strategy", default="image_attention")
-    p.add_argument("--f1-drop", type=float, default=0.03)
-    p.add_argument("--tradeoff", type=float, default=1.0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the full sweep as JSON")
     p.set_defaults(fn=cmd_tune)
     return parser
 

@@ -9,6 +9,7 @@ fallback. Relative paths resolve against the config file's directory.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from .errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError
 from .model import ModelConfig
 from .spin import SpinConfig
 
-SECTIONS = ("model", "spin", "decode", "eval", "output")
+SECTIONS = ("model", "spin", "decode", "eval", "output", "tune")
 
 
 def _require(cond: bool, key: str, msg: str):
@@ -73,12 +74,30 @@ class OutputSection:
 
 
 @dataclass(frozen=True)
+class TuneSection:
+    """The sweep of `tune`: `analytics.tune_three_stage`'s keyword arguments."""
+    r_grid: list[float]
+    alpha_grid: list[float]
+    layer_grids: list[list[int]] | None = None  # [lo, hi] ranges; null: `default_layer_grids`
+    strategy: str = "image_attention"
+    f1_drop_limit: float = 0.03
+    tradeoff_lambda: float = 1.0
+
+    def __post_init__(self):
+        for i, g in enumerate(self.layer_grids or []):
+            _require(len(g) == 2, f"tune.layer_grids[{i}]", f"expected [lo, hi], got {g!r}")
+        for name in ("f1_drop_limit", "tradeoff_lambda"):
+            _require(math.isfinite(getattr(self, name)), f"tune.{name}", f"must be finite, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelSection
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     spin: SpinConfig | None = None
     eval: EvalSection | None = None
     output: OutputSection = field(default_factory=OutputSection)
+    tune: TuneSection | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -87,6 +106,7 @@ class RunConfig:
             "decode": asdict(self.decode),
             "eval": asdict(self.eval) if self.eval else None,
             "output": asdict(self.output),
+            "tune": asdict(self.tune) if self.tune else None,
         }
 
 

@@ -281,19 +281,18 @@ class Engine:
         sn *= self._rope_sign
         return np.cos(ang)[..., None, :], sn[..., None, :]
 
-    def _embed_id(self, token_id: int) -> np.ndarray:
-        if not 0 <= token_id < self.config.vocab_size:
-            raise DataError(f"token id {token_id} out of range for vocab {self.config.vocab_size}")
-        return self.checkpoint["embedding"][token_id]
+    def _embed(self, ids: list[int]) -> np.ndarray:
+        """Embedding rows (len(ids), d_model) of token ids, checked against the vocabulary."""
+        if ids and not 0 <= min(ids) <= max(ids) < self.config.vocab_size:
+            raise DataError(f"token ids in [{min(ids)}, {max(ids)}] out of range for vocab {self.config.vocab_size}")
+        return self.checkpoint["embedding"].take(ids, axis=0)
 
     def embed_prompt(self, prompt: MultimodalPrompt, start: int = 0) -> np.ndarray:
         """Input rows [start, len(prompt)) of `prompt`."""
         if prompt.vision.shape[1] != self.config.d_model:
             raise DataError(f"vision embedding dim {prompt.vision.shape[1]} != d_model {self.config.d_model}")
-        rows = [self._embed_id(t) for t in prompt.prefix_ids[start:]]
-        rows.extend(prompt.vision[max(start - prompt.i_start, 0) :])
-        rows.extend(self._embed_id(t) for t in prompt.suffix_ids[max(start - prompt.i_end, 0) :])
-        return np.stack(rows).astype(np.float32)
+        return np.concatenate([self._embed(prompt.prefix_ids[start:]), prompt.vision[max(start - prompt.i_start, 0) :],
+                               self._embed(prompt.suffix_ids[max(start - prompt.i_end, 0) :])])
 
     def _check_room(self, cache: KvCache, n: int) -> None:
         """Check that `cache` can hold n rows: within the context and the cache's room."""
@@ -313,10 +312,8 @@ class Engine:
         forward, bitwise equal to stepping each alone."""
         for tokens, cache, *_ in requests:  # every request checked before any row is written
             self._check_room(cache, cache.length + 1)
-            if not 0 <= min(tokens) <= max(tokens) < self.config.vocab_size:
-                raise DataError(f"token ids {tokens} out of range for vocab {self.config.vocab_size}")
         parts = [(cache, len(tokens), np.array([cache.length]), layout, policy) for tokens, cache, layout, policy in requests]
-        logits = self._forward(self.checkpoint["embedding"].take([t for r in requests for t in r[0]], axis=0), parts)
+        logits = self._forward(self._embed([t for r in requests for t in r[0]]), parts)
         ends = itertools.accumulate(len(tokens) for tokens, *_ in requests)
         return [logits[end - len(tokens) : end] for (tokens, *_), end in zip(requests, ends)]
 

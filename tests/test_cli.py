@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -284,7 +285,7 @@ class TestEval:
     @pytest.mark.parametrize("command, args", [
         ("eval", []),
         ("profile", ["--out-prefix", "prof"]),
-        ("tune", ["--r-grid", "0.25", "--alpha-grid", "0.0", "--layer-grids", "1-2", "--out", "sweep.json"]),
+        ("tune", ["--out", "sweep.json"]),
         ("generate", []),
     ])
     def test_vision_width_mismatch_exit_3_without_outputs(self, workspace, tmp_path, capsys, command, args):
@@ -300,6 +301,7 @@ class TestEval:
             spin={"r": 0.5, "alpha": 0.0, "layer_range": [1, 2]},
             output={"report_json": str(out / "r.json"), "report_csv": str(out / "r.csv"),
                     "trace_masks": str(out / "masks.jsonl")},
+            tune={"r_grid": [0.25], "alpha_grid": [0.0], "layer_grids": [[1, 2]]},
         )
         argv = [str(out / a) if a in ("prof", "sweep.json") else a for a in args]
         code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *argv)
@@ -387,40 +389,60 @@ class TestProfileHeatmapTune:
         assert f"{trace_path}:2: layer: expected int, got True" in err
         assert not (tmp_path / "heat.csv").exists()
 
-    def test_tune_command(self, workspace, tmp_path, capsys):
-        cfg = workspace.run_config(
-            tmp_path / "run.json",
+    def tune_config(self, workspace, path, **tune):
+        return workspace.run_config(
+            path,
             eval={"pope": False, "max_records": 2},
             decode={"strategy": "greedy", "max_new_tokens": 4, "eos_id": 0, "seed": 5},
+            tune={"r_grid": [0.25], "alpha_grid": [0.0], "layer_grids": [[1, 2]], **tune},
         )
-        code, stdout, _ = run_cli(
-            capsys, "tune", "--config", str(cfg), "--r-grid", "0.25",
-            "--alpha-grid", "0.0,0.5", "--layer-grids", "1-2",
-            "--out", str(tmp_path / "sweep.json"),
-        )
+
+    def test_tune_command(self, workspace, tmp_path, capsys):
+        cfg = self.tune_config(workspace, tmp_path / "run.json", alpha_grid=[0.0, 0.5])
+        code, _, _ = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
         assert code == 0
         sweep = json.loads((tmp_path / "sweep.json").read_text())
         assert sweep["selected"]["r"] == 0.25
         assert len(sweep["stages"]) == 3
 
-    @pytest.mark.parametrize("flag, value", [("--strategy", "key_norm"), ("--f1-drop", "0.2"), ("--tradeoff", "0.5")])
-    def test_tune_flag_reaches_sweep(self, workspace, tmp_path, capsys, flag, value):
-        cfg = workspace.run_config(
-            tmp_path / "run.json",
-            eval={"pope": False, "max_records": 2},
-            decode={"strategy": "greedy", "max_new_tokens": 4, "eos_id": 0, "seed": 5},
-        )
-        code, _, _ = run_cli(
-            capsys, "tune", "--config", str(cfg), "--r-grid", "0.25", "--alpha-grid", "0.0",
-            "--layer-grids", "1-2", flag, value, "--out", str(tmp_path / "sweep.json"),
-        )
+    @pytest.mark.parametrize("key, value", [("strategy", "key_norm"), ("f1_drop_limit", 0.2), ("tradeoff_lambda", 0.5)])
+    def test_tune_key_reaches_sweep(self, workspace, tmp_path, capsys, key, value):
+        cfg = self.tune_config(workspace, tmp_path / "run.json", **{key: value})
+        code, _, _ = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
         assert code == 0
-        want = {"--strategy": "image_attention", "--f1-drop": 0.03, "--tradeoff": 1.0}
-        want[flag] = value if flag == "--strategy" else float(value)
+        want = {"strategy": "image_attention", "f1_drop_limit": 0.03, "tradeoff_lambda": 1.0, key: value}
         sweep = json.loads((tmp_path / "sweep.json").read_text())
-        assert (sweep["f1_drop_limit"], sweep["tradeoff_lambda"]) == (want["--f1-drop"], want["--tradeoff"])
+        assert (sweep["f1_drop_limit"], sweep["tradeoff_lambda"]) == (want["f1_drop_limit"], want["tradeoff_lambda"])
         strategies = [e["config"]["strategy"] for stage in sweep["stages"] for e in stage["entries"]]
-        assert strategies and set(strategies) == {want["--strategy"]}
+        assert strategies and set(strategies) == {want["strategy"]}
+
+    def test_tune_without_section_exit_2_before_inputs(self, workspace, tmp_path, capsys):
+        """No `tune` section is a config error raised before any input is read: a corrupt corpus (exit 3 once
+        read) is never reached."""
+        (tmp_path / "bad.jsonl").write_text("garbage\n")
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"corpus": str(tmp_path / "bad.jsonl")})
+        code, stdout, err = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
+        assert (code, stdout) == (2, "")
+        assert err.strip() == "config error: tune: section missing (required by tune)"
+        assert not (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("LAYER_GRIDS", "[[1,2,3]]", "tune: tune.layer_grids[0]: expected [lo, hi], got [1, 2, 3]"),
+        ("LAYER_GRIDS", "[]", "tuner layer grid must be non-empty"),
+        ("R_GRID", '["x"]', "tune.r_grid[0]: expected float, got 'x'"),
+        ("F1_DROP_LIMIT", "NaN", "tune: tune.f1_drop_limit: must be finite, got nan"),
+        ("TRADEOFF_LAMBDA", "NaN", "tune: tune.tradeoff_lambda: must be finite, got nan"),
+        ("TRADEOFF_LAMBDA", "-Infinity", "tune: tune.tradeoff_lambda: must be finite, got -inf"),
+    ])
+    def test_bad_tune_key_exit_2(self, workspace, tmp_path, capsys, monkeypatch, key, value, message):
+        """A malformed sweep stops before the first eval. A non-finite limit would otherwise still select an
+        entry: a NaN drop limit fails every stage-1 constraint, a NaN lambda makes every objective NaN."""
+        monkeypatch.setenv(f"SPIN__TUNE__{key}", value)
+        cfg = self.tune_config(workspace, tmp_path / "run.json")
+        code, stdout, err = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
+        assert (code, stdout) == (2, "")
+        assert err.strip() == f"config error: {message}"
+        assert not (tmp_path / "sweep.json").exists()
 
 
 class TestTopLevel:
@@ -468,3 +490,24 @@ class TestTopLevel:
         for argv in commands:
             args = build_parser().parse_args(argv[argv.index("spin-infer") + 1 :])
             assert callable(args.fn)
+
+    def test_decoding_commands_take_run_settings_only_from_the_config(self):
+        """`generate`, `eval`, `profile` and `tune` read every run setting from --config; their own flags name
+        outputs or the record, so a command that grows a run flag of its own fails here."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("generate", "eval", "profile", "tune"):
+            options = {o for action in sub.choices[command]._actions for o in action.option_strings}
+            assert options <= {"--config", "--record-id", "--out-prefix", "--out", "-h", "--help"}, command
+
+    def test_readme_run_config_loads(self, tmp_path):
+        """The JSON block under "## Run config" loads as a run config, `tune` section included, with empty
+        placeholders at the input paths it names."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(block)
+        for rel in [raw["model"]["checkpoint"]] + [raw["eval"][k] for k in ("corpus", "vocab", "tokens")]:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).touch()
+        (tmp_path / "run.json").write_text(block)
+        cfg = load_run_config(tmp_path / "run.json", environ={})
+        assert cfg.tune is not None and cfg.tune.r_grid

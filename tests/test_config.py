@@ -1,8 +1,11 @@
+import inspect
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
+from spin_infer.analytics import tune_three_stage
 from spin_infer.config import load_run_config, parse_run_config
 from spin_infer.errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError
 
@@ -37,6 +40,18 @@ class TestDefaults:
         assert cfg.spin.apply_to == "all_text_queries"
         assert cfg.spin.strategy == "image_attention"
         assert cfg.spin.alpha == 0.0
+
+    def test_tune_defaults_are_the_tuners(self, workspace):
+        """The section's keys are `tune_three_stage`'s keyword parameters, and an absent key takes the
+        tuner's own default."""
+        raw = minimal_raw(workspace)
+        raw["tune"] = {"r_grid": [0.25], "alpha_grid": [0.0]}
+        tune = parse_run_config(raw, environ={}).tune
+        params = inspect.signature(tune_three_stage).parameters
+        assert [f.name for f in fields(tune)] == list(params)[2:]  # after eval_fn and n_layers
+        for name in ("layer_grids", "strategy", "f1_drop_limit", "tradeoff_lambda"):
+            assert getattr(tune, name) == params[name].default
+        assert parse_run_config(minimal_raw(workspace), environ={}).tune is None
 
 
 class TestValidation:
@@ -210,6 +225,8 @@ class TestRoundtrip:
                      "pope_mode": "single_turn", "pope_max_new_tokens": 3, "workers": 2,
                      "max_records": 4},
             "output": {"report_json": "r.json", "report_csv": "r.csv", "trace_masks": "m.jsonl"},
+            "tune": {"r_grid": [0.1, 0.5], "alpha_grid": [0.0, 1], "layer_grids": [[1, 2], [2, 2]],
+                     "strategy": "query_norm", "f1_drop_limit": 0.1, "tradeoff_lambda": 2.5},
         }
         cfg = parse_run_config(raw, base_dir=tmp_path, environ={})
         assert cfg.to_dict() == {
@@ -245,6 +262,14 @@ class TestRoundtrip:
                 "report_json": str(tmp_path / "r.json"),
                 "report_csv": str(tmp_path / "r.csv"),
                 "trace_masks": str(tmp_path / "m.jsonl"),
+            },
+            "tune": {
+                "r_grid": [0.1, 0.5],
+                "alpha_grid": [0.0, 1],
+                "layer_grids": [[1, 2], [2, 2]],
+                "strategy": "query_norm",
+                "f1_drop_limit": 0.1,
+                "tradeoff_lambda": 2.5,
             },
         }
         assert parse_run_config(cfg.to_dict(), environ={}) == cfg

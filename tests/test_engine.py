@@ -55,9 +55,16 @@ class TestPrompt:
             MultimodalPrompt([1], np.zeros((0, 8), np.float32), [2])
 
     def test_id_out_of_vocab_rejected(self, engine):
-        p = MultimodalPrompt([engine.config.vocab_size], np.zeros((1, 32), np.float32), [])
-        with pytest.raises(DataError):
-            engine.embed_prompt(p)
+        v, vision = engine.config.vocab_size, np.zeros((1, 32), np.float32)
+        for p in (MultimodalPrompt([v], vision, []), MultimodalPrompt([], vision, [1, v])):
+            with pytest.raises(DataError, match=rf"out of range for vocab {v}$"):
+                engine.embed_prompt(p)
+        p = MultimodalPrompt([], vision, [1])
+        cache = engine.new_cache()
+        engine.prefill(p, cache)
+        with pytest.raises(DataError, match=rf"^token ids in \[{v}, {v}\] out of range for vocab {v}$"):
+            engine.step([v], cache, p.layout())
+        assert cache.length == len(p)
 
     def test_vision_width_mismatch_rejected(self):
         """The engine's own check, for callers that skip the run loader."""
