@@ -17,7 +17,6 @@ from pathlib import Path
 from . import schema
 from .decoding import DecodeConfig
 from .errors import ConfigError, ConfigNotFoundError, ConfigSyntaxError
-from .model import ModelConfig
 from .spin import SpinConfig
 
 SECTIONS = ("model", "spin", "decode", "eval", "output", "tune")
@@ -29,19 +28,8 @@ def _require(cond: bool, key: str, msg: str):
 
 
 @dataclass(frozen=True)
-class ModelInit:
-    seed: int
-    config: ModelConfig
-
-
-@dataclass(frozen=True)
 class ModelSection:
-    checkpoint: str | None = None
-    init: ModelInit | None = None
-
-    def __post_init__(self):
-        _require((self.checkpoint is None) != (self.init is None), "model",
-                 "exactly one of 'checkpoint' and 'init' must be present")
+    checkpoint: str
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "model": {k: v for k, v in asdict(self.model).items() if v is not None},
+            "model": asdict(self.model),
             "spin": self.spin.to_dict() if self.spin else None,
             "decode": asdict(self.decode),
             "eval": asdict(self.eval) if self.eval else None,
@@ -146,9 +134,8 @@ def parse_run_config(raw: dict, base_dir: str | Path = ".", environ=None) -> Run
         _require(not must_exist or Path(path).is_file(), key, f"file not found: {path}")
         return path
 
-    model, ev, out = cfg.model, cfg.eval, cfg.output
-    if model.checkpoint is not None:
-        model = replace(model, checkpoint=resolve("model.checkpoint", model.checkpoint))
+    ev, out = cfg.eval, cfg.output
+    model = replace(cfg.model, checkpoint=resolve("model.checkpoint", cfg.model.checkpoint))
     if ev is not None:
         ev = replace(ev, **{n: resolve(f"eval.{n}", getattr(ev, n)) for n in ("corpus", "vocab", "tokens")})
     out = replace(out, **{n: resolve(n, p, False) for n, p in asdict(out).items() if p is not None})

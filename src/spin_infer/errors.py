@@ -10,7 +10,7 @@ class SpinInferError(Exception):
 
 
 class ConfigError(SpinInferError):
-    """Invalid configuration (bad value, unknown key, conflicting sections)."""
+    """Invalid configuration (bad value, unknown or missing key)."""
 
 
 class ConfigNotFoundError(ConfigError):

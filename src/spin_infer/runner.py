@@ -32,7 +32,7 @@ from .metrics import (
     chair_scores,
     pope_eval,
 )
-from .model import init_checkpoint, load_checkpoint
+from .model import load_checkpoint
 from .prng import derive_seed
 from .spin import MaskTraceWriter, SpinConfig, SpinPolicy
 
@@ -48,12 +48,6 @@ REPORT_NOTES = [
 ]
 
 
-def build_engine(cfg: RunConfig) -> Engine:
-    if cfg.model.checkpoint is not None:
-        return Engine(load_checkpoint(cfg.model.checkpoint))
-    return Engine(init_checkpoint(cfg.model.init.config, cfg.model.init.seed))
-
-
 class EvalInputs(NamedTuple):
     engine: Engine
     records: list[CorpusRecord]
@@ -67,7 +61,7 @@ def load_eval_inputs(cfg: RunConfig, command: str) -> EvalInputs:
     object vocabulary and the token table, checked against the model."""
     if cfg.eval is None:
         raise ConfigError(f"eval: section missing (required by {command})")
-    engine = build_engine(cfg)
+    engine = Engine(load_checkpoint(cfg.model.checkpoint))
     mc = engine.config
     records = load_corpus(cfg.eval.corpus)[: cfg.eval.max_records]
     vocab = ObjectVocabulary.from_tsv(cfg.eval.vocab)
@@ -278,13 +272,12 @@ def write_report_csv(report: dict, path: str) -> None:
 def spin_eval_fn(cfg: RunConfig, inputs: EvalInputs):
     """eval_fn for the tuner: evaluate one SPIN candidate over `inputs`, the
     corpus `load_eval_inputs(cfg, ...)` read once."""
+    if not cfg.eval.chair:
+        raise ConfigError("tune requires eval.chair metrics to be enabled")
 
     def eval_fn(spin: SpinConfig | None):
         candidate = replace(cfg, spin=spin, output=type(cfg.output)())
-        report = run_eval(candidate, write_outputs=False, inputs=inputs)
-        chair = report["metrics"]["chair"]
-        if chair is None:
-            raise ConfigError("tune requires eval.chair metrics to be enabled")
+        chair = run_eval(candidate, write_outputs=False, inputs=inputs)["metrics"]["chair"]
         return {"c_s": chair["c_s"], "f1": chair["f1"]}
 
     return eval_fn

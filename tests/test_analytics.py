@@ -85,6 +85,9 @@ class TestProfile:
         engine = tiny_engine()
         with pytest.raises(DataError):
             profile_attention(engine, [], DecodeConfig())
+        prompt = random_prompt(4, engine.config)  # one new token comes from the prefill: no step is profiled
+        with pytest.raises(DataError, match="saw no generated-token query steps"):
+            profile_attention(engine, [prompt], DecodeConfig(max_new_tokens=1, eos_id=None))
 
     def test_csv_output(self, tmp_path):
         engine = tiny_engine()
@@ -162,6 +165,17 @@ class TestAggregateMasks:
         write_trace(b, 2, 2, self.cfg(hi=1), [(0, 1, [1, 0])])
         with pytest.raises(DataError):
             aggregate_masks([a, b])
+        for layer, mask in [(2, [1, 0]), (1, [1, 0, 1])]:  # a layer or head count its meta line does not have
+            write_trace(b, 1, 2, self.cfg(hi=1), [])
+            with open(b, "a") as fh:
+                fh.write(json.dumps({"pos": 0, "layer": layer, "mask": mask}) + "\n")
+            with pytest.raises(DataError, match=":2: trace record shape does not match meta header"):
+                aggregate_masks([b])
+        b.write_text("\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(b))}: empty mask trace$"):
+            aggregate_masks([a, b])
+        with pytest.raises(DataError, match="aggregate_masks needs at least one trace file"):
+            aggregate_masks([])
 
     def test_bad_line_reports_lineno(self, tmp_path):
         p = tmp_path / "t.jsonl"

@@ -5,18 +5,20 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import spin_infer
+from spin_infer import runner
 from spin_infer.analytics import aggregate_masks, profile_attention
 from spin_infer.cli import build_parser, main
 from spin_infer.config import load_run_config
 from spin_infer.corpus import SyntheticCorpusSpec, TokenTable, generate_synthetic_corpus, load_corpus
 from spin_infer.decoding import DecodeConfig, generate
 from spin_infer.engine import Engine, MultimodalPrompt
-from spin_infer.model import load_checkpoint
+from spin_infer.model import init_checkpoint, load_checkpoint, save_checkpoint
 from spin_infer.spin import SpinPolicy
 
 
@@ -230,6 +232,16 @@ class TestGenerate:
         assert message in err
         assert "Traceback" not in err
 
+    def test_prompt_beyond_max_seq_len_exit_4(self, workspace, tmp_path, capsys):
+        """A record whose prompt does not fit the model's context is a runtime error, not a data error."""
+        ckpt = tmp_path / "short.spnm"
+        save_checkpoint(init_checkpoint(replace(workspace.model_config, max_seq_len=4), 1), ckpt)
+        cfg = workspace.run_config(tmp_path / "run.json", model={"checkpoint": str(ckpt)})
+        code, stdout, err = run_cli(capsys, "generate", "--config", str(cfg))
+        assert (code, stdout) == (4, "")
+        assert err.startswith("runtime error: ")
+        assert "max_seq_len 4" in err
+
 
 class TestEval:
     def test_prints_metrics_and_writes_reports(self, workspace, tmp_path, capsys):
@@ -274,6 +286,21 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == 3
         assert "dup.jsonl:2: duplicate record id 'img0000'" in err
+
+    def test_every_record_failed_exit_3_without_report(self, workspace, tmp_path, capsys):
+        """A record with a NaN vision row fails alone; when every record fails, there is nothing to score."""
+        lines = [json.loads(line) for line in workspace.corpus.read_text().splitlines()]
+        for line in lines:
+            line["vision_embeddings"][1][0] = float("nan")
+        corpus = tmp_path / "nan.jsonl"
+        corpus.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        cfg = workspace.run_config(tmp_path / "run.json", eval={"corpus": str(corpus)},
+                                   output={"report_json": str(tmp_path / "r.json")})
+        code, stdout, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert (code, stdout) == (3, "")
+        assert err.strip().endswith(f"data error: all {len(lines)} records failed; first error: "
+                                    "DataError: vision embeddings must be finite (found NaN or inf)")
+        assert not (tmp_path / "r.json").exists()
 
     def test_corrupt_corpus_exit_3(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -424,6 +451,18 @@ class TestProfileHeatmapTune:
         code, stdout, err = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
         assert (code, stdout) == (2, "")
         assert err.strip() == "config error: tune: section missing (required by tune)"
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_tune_without_chair_exit_2_before_any_eval(self, workspace, tmp_path, capsys, monkeypatch):
+        """The tuner scores candidates by CHAIR, so `eval.chair: false` is a config error raised before the
+        baseline eval runs."""
+        evals = []
+        monkeypatch.setattr(runner, "run_eval", lambda *args, **kw: evals.append(args))
+        monkeypatch.setenv("SPIN__EVAL__CHAIR", "false")
+        cfg = self.tune_config(workspace, tmp_path / "run.json")
+        code, stdout, err = run_cli(capsys, "tune", "--config", str(cfg), "--out", str(tmp_path / "sweep.json"))
+        assert (code, stdout, evals) == (2, "", [])
+        assert err.strip() == "config error: tune requires eval.chair metrics to be enabled"
         assert not (tmp_path / "sweep.json").exists()
 
     @pytest.mark.parametrize("key, value, message", [

@@ -62,15 +62,19 @@ class TestValidation:
             parse_run_config(raw, environ={})
 
     def test_checkpoint_and_init_conflict(self, workspace):
-        raw = minimal_raw(workspace)
-        raw["model"]["init"] = {"seed": 1, "config": workspace.model_config.to_dict()}
-        with pytest.raises(ConfigError, match="exactly one"):
-            parse_run_config(raw, environ={})
+        """`model.init` is gone: a model comes from a checkpoint file, as `init-ckpt` writes one. An old
+        config that names `init`, with or without a checkpoint, is an unknown key."""
+        init = {"seed": 1, "config": workspace.model_config.to_dict()}
+        for model in ({"checkpoint": str(workspace.checkpoint), "init": init}, {"init": init}):
+            raw = minimal_raw(workspace)
+            raw["model"] = model
+            with pytest.raises(ConfigError, match=r"^model: unknown keys: \['init'\]$"):
+                parse_run_config(raw, environ={})
 
     def test_neither_checkpoint_nor_init(self, workspace):
         raw = minimal_raw(workspace)
         raw["model"] = {}
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ConfigError, match=r"^model\.checkpoint: missing$"):
             parse_run_config(raw, environ={})
 
     def test_missing_referenced_file_names_key(self, workspace, tmp_path):
@@ -109,7 +113,7 @@ class TestValidation:
             ("decode.max_new_tokens", 2.5),
             ("decode.beam_width", "3"),
             ("output.report_json", 5),
-            ("model.init.seed", "x"),
+            ("model.checkpoint", 5),
             ("spin.r", False),
             ("spin.layer_range", [1.5, 2]),
             ("spin.layer_range", "1-2"),
@@ -118,7 +122,6 @@ class TestValidation:
     )
     def test_bad_value_names_dotted_key(self, workspace, dotted, value):
         raw = minimal_raw(workspace)
-        raw["model"] = {"init": {"seed": 1, "config": workspace.model_config.to_dict()}}
         *parents, leaf = dotted.split(".")
         node = raw
         for name in parents:
@@ -186,6 +189,9 @@ class TestEnvOverrides:
     def test_bad_section_rejected(self, workspace):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_run_config(minimal_raw(workspace), environ={"SPIN__NOPE__X": "1"})
+        for key in ("SPIN__DECODE", "SPIN__DECODE__", "SPIN____SEED"):  # a section without a key, or an empty part
+            with pytest.raises(ConfigError, match=f"^bad override variable {key}: want SPIN__SECTION__KEY$"):
+                parse_run_config(minimal_raw(workspace), environ={key: "1"})
 
     def test_null_section_takes_overrides(self, workspace):
         raw = minimal_raw(workspace)
@@ -213,9 +219,9 @@ class TestRoundtrip:
     def test_golden_every_field_set(self, workspace, tmp_path):
         # recorded from the per-section codecs before RunConfig.to_dict used
         # dataclasses.asdict; every report embeds this dict
-        mc = workspace.model_config.to_dict()
+        (tmp_path / "model.spnm").write_bytes(b"")  # parsing only checks that the file exists
         raw = {
-            "model": {"init": {"seed": 9, "config": mc}},
+            "model": {"checkpoint": "model.spnm"},
             "spin": {"strategy": "key_norm", "r": 0.5, "alpha": 0.25, "layer_range": [2, 2],
                      "apply_to": "generated_text_queries_only"},
             "decode": {"strategy": "nucleus", "beam_width": 3, "nucleus_p": 0.8,
@@ -230,7 +236,7 @@ class TestRoundtrip:
         }
         cfg = parse_run_config(raw, base_dir=tmp_path, environ={})
         assert cfg.to_dict() == {
-            "model": {"init": {"seed": 9, "config": mc}},
+            "model": {"checkpoint": str(tmp_path / "model.spnm")},
             "spin": {
                 "strategy": "key_norm",
                 "r": 0.5,

@@ -7,6 +7,7 @@ import pytest
 from spin_infer.corpus import (
     SyntheticCorpusSpec,
     TokenTable,
+    _unit,
     build_token_table,
     generate_synthetic_corpus,
     load_corpus,
@@ -57,6 +58,9 @@ class TestTokenTable:
     def test_duplicates_rejected(self):
         with pytest.raises(DataError):
             TokenTable(["a", "a"])
+        for eos_id in (-1, 2):
+            with pytest.raises(DataError, match=f"eos_id {eos_id} outside token table of size 2"):
+                TokenTable(["a", "b"], eos_id=eos_id)
 
     def test_save_load(self, tmp_path):
         t = build_token_table(["dog", "hot dog"], {"puppy": "dog"})
@@ -123,6 +127,15 @@ class TestGeneration:
                 if it.split == "adversarial":
                     if it.gold == "no":
                         assert it.object_name not in set(rec.gt_objects)
+
+    def test_unit_redraws_a_vanishing_vector(self):
+        class Stream:  # its first draw is all 0.5, which maps to the zero vector
+            draws = [np.full(3, 0.5), np.array([1.0, 0.5, 0.5])]
+
+            def uniforms(self, n):
+                return self.draws.pop(0)
+
+        assert np.array_equal(_unit(Stream(), 3), [1.0, 0.0, 0.0])
 
     def test_vision_shape_and_dtype(self, tmp_path):
         paths = generate_synthetic_corpus(spec(span_len=7, embed_dim=24), tmp_path / "c")

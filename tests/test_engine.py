@@ -56,6 +56,9 @@ class TestPrompt:
 
     def test_id_out_of_vocab_rejected(self, engine):
         v, vision = engine.config.vocab_size, np.zeros((1, 32), np.float32)
+        for prefix, suffix in (([-1], []), ([], [1, -1])):
+            with pytest.raises(DataError, match="^token ids must be non-negative$"):
+                MultimodalPrompt(prefix, vision, suffix)
         for p in (MultimodalPrompt([v], vision, []), MultimodalPrompt([], vision, [1, v])):
             with pytest.raises(DataError, match=rf"out of range for vocab {v}$"):
                 engine.embed_prompt(p)

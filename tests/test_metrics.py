@@ -41,6 +41,8 @@ class TestVocabulary:
         # but a name that IS canonical may not map to a different canonical
         with pytest.raises(DataError):
             ObjectVocabulary({"dog": "cat", "cat": "cat", "dog2": "dog"})
+        with pytest.raises(DataError, match="empty vocabulary surface form for 'dog'"):
+            ObjectVocabulary({"dog": "dog", "?!": "dog"})  # punctuation only: no words
 
     def test_tsv_roundtrip(self, vocab, tmp_path):
         p = tmp_path / "vocab.tsv"
@@ -50,8 +52,11 @@ class TestVocabulary:
 
     def test_tsv_bad_line_reports_lineno(self, tmp_path):
         p = tmp_path / "vocab.tsv"
-        p.write_text("dog\tdog\nbroken line\n")
-        with pytest.raises(DataError, match=":2:"):
+        p.write_text("dog\tdog\n\nbroken line\n")  # a blank line is skipped, and counted
+        with pytest.raises(DataError, match=":3:"):
+            ObjectVocabulary.from_tsv(p)
+        p.write_text("\n \n")
+        with pytest.raises(DataError, match="empty vocabulary$"):
             ObjectVocabulary.from_tsv(p)
 
 
@@ -141,6 +146,10 @@ class TestChair:
     def test_non_canonical_gt_rejected(self, vocab):
         with pytest.raises(DataError):
             chair_scores([CaptionRecord("a", "x", frozenset({"puppy"}))], vocab)
+        with pytest.raises(DataError, match="caption record 'a' has an empty ground-truth set"):
+            CaptionRecord("a", "x", frozenset())
+        with pytest.raises(DataError, match="chair_scores needs at least one record"):
+            chair_scores([], vocab)
 
     def test_matches_brute_force_on_random_corpora(self, vocab):
         words = ["dog", "puppy", "cat", "chair", "hot", "tree", "sky", "the", "a"]
@@ -230,6 +239,8 @@ class TestPope:
             PopeItem("i", "dog", "random", "maybe")
         with pytest.raises(DataError):
             PopeItem("i", "dog", "weird", "yes")
+        with pytest.raises(DataError, match="pope_eval needs at least one item"):
+            pope_eval([])
 
     def test_question_template(self):
         item = PopeItem("i", "hot dog", "random", "yes")

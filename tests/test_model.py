@@ -7,6 +7,7 @@ import pytest
 
 from spin_infer.errors import ConfigError, DataError
 from spin_infer.model import (
+    Checkpoint,
     ModelConfig,
     init_checkpoint,
     load_checkpoint,
@@ -35,24 +36,39 @@ class TestModelConfig:
 
     def test_from_dict_rejects_unknown_and_missing(self, tmp_path):
         """The checkpoint header's config is read strictly: unknown, missing,
-        string and float fields are data errors naming the key."""
+        string and float fields are data errors naming the key. A header
+        that is not UTF-8, or a tensor table that does not match the
+        config's layout, is a data error too."""
         path = tmp_path / "m.spnm"
         save_checkpoint(init_checkpoint(tiny_config(), 0), path)
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8 : 8 + hlen])
-        good = header["config"]
+        good, table = header["config"], header["tensors"]
+
+        def entry(i, **edit):
+            return table[:i] + [{**table[i], **edit}] + table[i + 1 :]
+
         cases = [
-            ({**good, "bogus": 1}, "unknown keys"),
-            ({k: v for k, v in good.items() if k != "max_seq_len"}, "config.max_seq_len: missing"),
-            ({**good, "n_layers": str(good["n_layers"])}, "config.n_layers: expected int"),
-            ({**good, "d_model": good["d_model"] + 0.9}, "config.d_model: expected int"),
+            ({**good, "bogus": 1}, table, "unknown keys"),
+            ({k: v for k, v in good.items() if k != "max_seq_len"}, table, "config.max_seq_len: missing"),
+            ({**good, "n_layers": str(good["n_layers"])}, table, "config.n_layers: expected int"),
+            ({**good, "d_model": good["d_model"] + 0.9}, table, "config.d_model: expected int"),
+            (good, table[:-1], "tensor table does not match config-derived layout"),
+            (good, entry(0, name="output"), "tensor table entry 'output' where 'embedding' belongs"),
+            (good, entry(0, shape=table[0]["shape"][::-1]),
+             r"tensor 'embedding' shape \(32, 64\) != expected \(64, 32\)"),
+            (good, entry(1, offset=table[1]["offset"] + 4), "tensor 'layers.0.attn_norm' offset .* is not contiguous"),
         ]
-        for config, message in cases:
-            blob = json.dumps({**header, "config": config}).encode()
+        for config, tensors, message in cases:
+            blob = json.dumps({**header, "config": config, "tensors": tensors}).encode()
             path.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
             with pytest.raises(DataError, match=message):
                 load_checkpoint(path)
+        blob = raw[8 : 8 + hlen].replace(b"{", b"\xff", 1)
+        path.write_bytes(raw[:8] + blob + raw[8 + hlen :])
+        with pytest.raises(DataError, match="bad checkpoint header: 'utf-8' codec can't decode"):
+            load_checkpoint(path)
 
 
 class TestInitCheckpoint:
@@ -146,6 +162,9 @@ class TestCheckpointFile:
         p.write_bytes(raw[:-8])
         with pytest.raises(DataError):
             load_checkpoint(p)
+        for data in (ck.data[:-2].copy(), ck.data.astype(np.float64)):  # in memory: short, or not float32
+            with pytest.raises(DataError, match=r"checkpoint data is .* expected float32"):
+                Checkpoint(ck.config, data)
 
     def test_non_finite_rejected(self, tmp_path):
         ck = init_checkpoint(tiny_config(), 1)

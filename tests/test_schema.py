@@ -32,7 +32,7 @@ WRONG = {
 }
 # the JSON types each field takes: s string, i int, f float, b bool, n null, l list, o object
 RUN_FIELDS = {
-    "model": "o", "model.checkpoint": "sn",
+    "model": "o", "model.checkpoint": "s",
     "spin": "on", "spin.strategy": "s", "spin.r": "if", "spin.alpha": "if", "spin.layer_range": "l",
     "spin.apply_to": "s",
     "decode": "on", "decode.strategy": "s", "decode.beam_width": "i", "decode.nucleus_p": "if",
@@ -40,9 +40,6 @@ RUN_FIELDS = {
     "eval": "on", "eval.corpus": "s", "eval.vocab": "s", "eval.tokens": "s", "eval.chair": "b", "eval.pope": "b",
     "eval.pope_mode": "s", "eval.pope_max_new_tokens": "i", "eval.workers": "i", "eval.max_records": "in",
     "output": "on", "output.report_json": "sn", "output.report_csv": "sn", "output.trace_masks": "sn",
-}
-INIT_FIELDS = {"model.init": "on", "model.init.seed": "i", "model.init.config": "o"} | {
-    f"model.init.config.{k}": "i" for k in ("n_layers", "n_heads", "d_model", "d_ffn", "vocab_size", "max_seq_len")
 }
 CORPUS_FIELDS = {
     "id": "s", "vision_embeddings": "l", "prompt_ids": "l", "gt_objects": "l", "pope": "l",
@@ -133,18 +130,16 @@ SETTINGS = settings(max_examples=2, deadline=None)  # each wrong type of each fi
 
 
 class TestWrongJsonTypes:
-    @pytest.mark.parametrize("field", [*RUN_FIELDS, *INIT_FIELDS])
+    @pytest.mark.parametrize("field", RUN_FIELDS)
     @SETTINGS
     @given(data=st.data())
     def test_run_config_field(self, workspace, field, data):
-        takes = RUN_FIELDS.get(field) or INIT_FIELDS[field]
+        takes = RUN_FIELDS[field]
 
         def probe(value):
             with tempfile.TemporaryDirectory() as tmp:
                 out = Path(tmp)
                 cfg = run_config(workspace, out)
-                if field.startswith("model.init"):
-                    cfg["model"] = {"init": {"seed": 1, "config": workspace.model_config.to_dict()}}
                 set_field(cfg, field, value)
                 code, err = eval_run(workspace, out, **cfg)
             return code, err, 2, f"config error: {field}: "
@@ -225,14 +220,18 @@ COERCIONS = [
     ("pope[0].object", 3, "pope[0].object: expected str, got 3"),
     ("extra", 1, "unknown keys: ['extra']"),
     ("pope[0].extra", 1, "pope[0]: unknown keys: ['extra']"),
+    ("pope[0].split", "bogus", "pope split must be one of ('random', 'popular', 'adversarial'), got 'bogus'"),
+    ("vision_embeddings[1]", [0.5], "vision_embeddings must be a non-empty 2-D array"),
 ]
 
 
 @pytest.mark.parametrize("field, value, message", COERCIONS,
                          ids=["gt_string", "gt_ints", "id_list", "id_int", "vision_string", "vision_bool",
-                              "pope_object_int", "record_unknown_key", "pope_unknown_key"])
+                              "pope_object_int", "record_unknown_key", "pope_unknown_key", "pope_split_bogus",
+                              "vision_ragged"])
 def test_corpus_coercion_rejected(workspace, tmp_path, field, value, message):
-    """Values an earlier loader coerced (or keys it ignored) are data errors."""
+    """Values an earlier loader coerced (or keys it ignored) are data errors, and so are an unknown POPE
+    split and ragged vision rows."""
     line = corpus_line(workspace)
     set_field(line, field, value)
     corpus = tmp_path / "corpus.jsonl"

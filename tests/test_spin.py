@@ -46,16 +46,20 @@ class TestSpinConfig:
 
     @staticmethod
     def run_config(spin_section: dict) -> dict:
-        model = ModelConfig(n_layers=4, n_heads=4, d_model=16, d_ffn=16, vocab_size=16, max_seq_len=32)
-        return {"model": {"init": {"seed": 0, "config": model.to_dict()}}, "spin": spin_section}
+        return {"model": {"checkpoint": __file__}, "spin": spin_section}  # parsing only checks that it exists
 
     def test_roundtrip(self):
         cfg = spin(r=0.25, alpha=0.1, lo=2, hi=4, strategy="key_norm")
         assert parse_run_config(json.loads(json.dumps(self.run_config(cfg.to_dict()))), environ={}).spin == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match=r"^spin: unknown keys: \['post_softmax'\]$"):
-            parse_run_config(self.run_config({"r": 0.5, "post_softmax": False}), environ={})
+        for section, message in [
+            ({"r": 0.5, "post_softmax": False}, r"spin: unknown keys: \['post_softmax'\]"),
+            ({"r": 0.5, "layer_lo": 2}, r"spin: unknown keys: \['layer_lo'\]"),  # the file form is layer_range
+            ({"r": 0.5, "layer_range": [1, 2, 3]}, r"spin\.layer_range: expected \[lo, hi\], got \[1, 2, 3\]"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                parse_run_config(self.run_config(section), environ={})
 
 
 class TestKeptCount:
